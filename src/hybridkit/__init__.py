@@ -16,7 +16,7 @@ from .mla import (MlaBlockWeights, MlaCache, MlaConfig, default_mla_config,
                   init_mla_from_teacher, mla_forward, yarn_scale)
 from .numerics import SvdResult, repeat_kv, rmsnorm, svd
 from .synthetic import gen_ngram_corpus, niah_eval, niah_generate
-from .teacher import TeacherTrace, teacher_forward
+from .teacher import Trace, teacher_forward
 from .train import (TrainConfig, TrainReport, argmax_agreement, grad_audit,
                     train_stage1_ild, train_stage2_sft)
 

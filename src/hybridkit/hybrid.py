@@ -17,7 +17,7 @@ memory technique eliminates.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,13 +31,14 @@ from .mla import (MlaBlockWeights, MlaCache, MlaConfig, init_mla_from_teacher,
                   mla_backward, mla_forward)
 from .mlp import swiglu_backward, swiglu_forward
 from .numerics import rmsnorm, rmsnorm_backward
+from .teacher import Trace
 
 
 @dataclass
 class HybridLayout:
+    """Which layers are latent attention; every other layer is gated delta."""
     n_layers: int
     mla_indices: tuple
-    linear_kind: str = "gdn"
 
     def __post_init__(self):
         self.mla_indices = tuple(sorted(int(i) for i in self.mla_indices))
@@ -46,20 +47,20 @@ class HybridLayout:
         if self.mla_indices and (self.mla_indices[0] < 0
                                  or self.mla_indices[-1] >= self.n_layers):
             raise ValueError(f"mla_indices out of range [0, {self.n_layers})")
-        if self.linear_kind != "gdn":
-            raise ValueError(f"unsupported linear block kind {self.linear_kind!r}")
 
     def kind(self, i: int) -> str:
         return "mla" if i in self.mla_indices else "gdn"
 
     def to_dict(self) -> dict:
         return {"n_layers": self.n_layers, "mla_indices": list(self.mla_indices),
-                "linear_kind": self.linear_kind}
+                "linear_kind": "gdn"}
 
     @classmethod
     def from_dict(cls, d: dict) -> "HybridLayout":
-        return cls(n_layers=d["n_layers"], mla_indices=d["mla_indices"],
-                   linear_kind=d.get("linear_kind", "gdn"))
+        kind = d.get("linear_kind", "gdn")
+        if kind != "gdn":
+            raise ValueError(f"unsupported linear_kind {kind!r}; only 'gdn' exists")
+        return cls(n_layers=d["n_layers"], mla_indices=d["mla_indices"])
 
     @classmethod
     def from_json_file(cls, path) -> "HybridLayout":
@@ -103,15 +104,6 @@ class HybridModel:
         out["final_norm"] = self.final_norm
         out["lm_head"] = self.lm_head
         return out
-
-
-@dataclass
-class HybridTrace:
-    hidden_states: list
-    mixer_outputs: list
-    final_hidden: np.ndarray
-    logits: np.ndarray | None = None
-    caches: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +165,7 @@ def _fresh_cache(model: HybridModel, ly: HybridLayer):
 
 def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
                    want_trace: bool = False, caches: list | None = None,
-                   position_offset: int = 0, tapes: list | None = None) -> HybridTrace:
+                   position_offset: int = 0, tapes: list | None = None) -> Trace:
     """Run the stack; returns trace plus per-layer caches for continuation.
 
     `tokens` is one id sequence, or a batch of equal-length sequences (B, T)
@@ -210,10 +202,10 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
             a, new_cache = gdn_forward_train(ly.mixer, model.gdn_cfg, x, tape)
         elif single and position_offset > 0:
             a, new_cache = gdn_forward_sequential(ly.mixer, model.gdn_cfg, x,
-                                                  state=cache, tape=tape)
+                                                  state=cache)
         else:
             a, new_cache = gdn_forward_chunked(ly.mixer, model.gdn_cfg, x,
-                                               return_state=True)
+                                               state=cache)
         new_caches.append(new_cache)
         h_mid = h + a
         x2 = rmsnorm(h_mid, ly.norm_mlp, cfg.eps)
@@ -234,8 +226,8 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
         logits = final @ model.lm_head.T
     if taping:
         tapes.append({"pre_final": h})
-    return HybridTrace(hidden_states, mixer_outputs, final, logits,
-                       new_caches if single else None)
+    return Trace(hidden_states, mixer_outputs, final, logits,
+                 new_caches if single else None)
 
 
 def hybrid_backward(model: HybridModel, tapes: list, d_final: np.ndarray | None,

@@ -22,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import record_alloc
+from .numerics import log_softmax
 
 
 @dataclass
 class LossConfig:
     kl_chunk: int = 4096     # sequence-dimension chunk C
     vocab_tile: int = 128    # vocab-dimension tile B_V for the online pass
-    eps: float = 1e-12       # probability floor, used by reference oracles only
     swap_direction: bool = False  # KL(teacher || student) instead of the default
 
     def __post_init__(self):
@@ -104,31 +104,31 @@ def _ild_terms(student_trace, teacher_trace, want_grads: bool = False):
 # KL paths
 # ---------------------------------------------------------------------------
 
-def _log_softmax_rows(z):
-    m = np.max(z, axis=-1, keepdims=True)
-    out = z - m
-    out -= np.log(np.sum(np.exp(out), axis=-1, keepdims=True))
-    return out
-
-
-def _kl_rows(z_s, z_t, grad_out, scale: float, swap: bool) -> float:
-    """KL over each row, writing scale * dKL/dz_s into grad_out. Allocates two
-    row-block-sized transients and returns the summed KL.
+def _kl_row_blocks(z_s, z_t, C: int, swap: bool, tag: str):
+    """Token-mean KL and its gradient over row blocks of C tokens, each block
+    materializing both (rows, V) log-softmax tensors.
 
     Default direction is KL(student || teacher); `swap` computes
     KL(teacher || student), whose student gradient is p_s - p_t."""
-    lp_s = _log_softmax_rows(z_s)
-    lp_t = _log_softmax_rows(z_t)
-    if swap:
-        p_t = np.exp(lp_t)
-        d = np.sum(p_t * (lp_t - lp_s), axis=-1)
-        grad_out[...] = (np.exp(lp_s) - p_t) * scale
-    else:
-        ell = lp_s - lp_t
-        p = np.exp(lp_s)
-        d = np.sum(p * ell, axis=-1)
-        grad_out[...] = p * (ell - d[:, None]) * scale
-    return float(np.sum(d))
+    T, V = z_s.shape
+    scale = 1.0 / T
+    grad = np.empty_like(z_s)
+    total = 0.0
+    for c0 in range(0, T, C):
+        c1 = min(c0 + C, T)
+        record_alloc(tag, 2 * (c1 - c0) * V)
+        lp_s, lp_t = log_softmax(z_s[c0:c1]), log_softmax(z_t[c0:c1])
+        if swap:
+            p_t = np.exp(lp_t)
+            d = np.sum(p_t * (lp_t - lp_s), axis=-1)
+            grad[c0:c1] = (np.exp(lp_s) - p_t) * scale
+        else:
+            ell = lp_s - lp_t
+            p = np.exp(lp_s)
+            d = np.sum(p * ell, axis=-1)
+            grad[c0:c1] = p * (ell - d[:, None]) * scale
+        total += float(np.sum(d))
+    return total / T, grad
 
 
 def kl_naive(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
@@ -136,10 +136,8 @@ def kl_naive(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
     cfg = cfg or LossConfig()
     _check_same_shape(z_s, z_t)
     T, V = z_s.shape
-    record_alloc("kl_naive_softmax", 2 * T * V)
-    grad = np.empty_like(z_s)
-    total = _kl_rows(z_s, z_t, grad, 1.0 / T, cfg.swap_direction)
-    return LossValueAndGrad(total / T, grad, peak_elements=2 * T * V)
+    value, grad = _kl_row_blocks(z_s, z_t, T, cfg.swap_direction, "kl_naive_softmax")
+    return LossValueAndGrad(value, grad, peak_elements=2 * T * V)
 
 
 def kl_chunked(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
@@ -148,16 +146,71 @@ def kl_chunked(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
     _check_same_shape(z_s, z_t)
     T, V = z_s.shape
     C = min(cfg.kl_chunk, T)
-    grad = np.empty_like(z_s)
-    total = 0.0
-    peak = 0
-    for c0 in range(0, T, C):
-        c1 = min(c0 + C, T)
-        record_alloc("kl_chunked_softmax", 2 * (c1 - c0) * V)
-        peak = max(peak, 2 * (c1 - c0) * V)
-        total += _kl_rows(z_s[c0:c1], z_t[c0:c1], grad[c0:c1], 1.0 / T,
-                          cfg.swap_direction)
-    return LossValueAndGrad(total / T, grad, peak_elements=peak + 2 * T)
+    value, grad = _kl_row_blocks(z_s, z_t, C, cfg.swap_direction,
+                                 "kl_chunked_softmax")
+    return LossValueAndGrad(value, grad, peak_elements=2 * C * V + 2 * T)
+
+
+class _OnlineLse:
+    """Running log-sum-exp over column tiles (the online normalizer of
+    arXiv 1805.02867): a per-row max m and sum of exp(z - m), rescaled
+    whenever a tile raises the max."""
+
+    def __init__(self, rows: int):
+        self.m = np.full(rows, -np.inf)
+        self.sum = np.zeros(rows)
+
+    def add(self, tile):
+        """Fold in a (rows, cols) tile; returns the factor that rescaled the
+        earlier sums and exp(tile - m) under the new max."""
+        m_new = np.maximum(self.m, np.max(tile, axis=-1))
+        scale = np.exp(self.m - m_new)
+        e = np.exp(tile - m_new[:, None])
+        self.sum = self.sum * scale + np.sum(e, axis=-1)
+        self.m = m_new
+        return scale, e
+
+    def lse(self):
+        return self.m + np.log(self.sum)
+
+
+def _kl_tiled(tiles, sink, rows: int, V: int, B: int, swap: bool, T: int,
+              tag: str) -> float:
+    """Summed KL over one block of `rows` tokens without a (rows, V) buffer.
+    `tiles(b0, b1)` returns the (student, teacher) logits of vocab columns
+    [b0, b1). A first pass over tiles of width B runs the online
+    log-sum-exp; a second hands `sink(b0, b1, dz)` each tile's gradient
+    dKL/dz_s divided by T, the token count of the whole loss."""
+    acc_s, acc_t = _OnlineLse(rows), _OnlineLse(rows)
+    diff_acc = np.zeros(rows)   # sum of exp(lead - m_lead) * (lead - other)
+    for b0 in range(0, V, B):
+        b1 = min(b0 + B, V)
+        ts, tt = tiles(b0, b1)
+        record_alloc(tag, 2 * rows * (b1 - b0))
+        scale_s, e_s = acc_s.add(ts)
+        scale_t, e_t = acc_t.add(tt)
+        if swap:
+            diff_acc = diff_acc * scale_t + np.sum(e_t * (tt - ts), axis=-1)
+        else:
+            diff_acc = diff_acc * scale_s + np.sum(e_s * (ts - tt), axis=-1)
+
+    lse_s, lse_t = acc_s.lse(), acc_t.lse()
+    if swap:
+        d = diff_acc / acc_t.sum - lse_t + lse_s
+    else:
+        d = diff_acc / acc_s.sum - lse_s + lse_t
+
+    for b0 in range(0, V, B):
+        b1 = min(b0 + B, V)
+        ts, tt = tiles(b0, b1)
+        record_alloc(tag, 2 * rows * (b1 - b0))
+        p = np.exp(ts - lse_s[:, None])
+        if swap:
+            sink(b0, b1, (p - np.exp(tt - lse_t[:, None])) / T)
+        else:
+            ell = (ts - tt) - lse_s[:, None] + lse_t[:, None]
+            sink(b0, b1, p * (ell - d[:, None]) / T)
+    return float(np.sum(d))
 
 
 def kl_online(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
@@ -167,56 +220,14 @@ def kl_online(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
     _check_same_shape(z_s, z_t)
     T, V = z_s.shape
     B = min(cfg.vocab_tile, V)
-
-    swap = cfg.swap_direction
-    m_s = np.full(T, -np.inf)
-    m_t = np.full(T, -np.inf)
-    zacc_s = np.zeros(T)
-    zacc_t = np.zeros(T)
-    diff_acc = np.zeros(T)  # sum of exp(lead - m_lead) * (lead - other)
-    peak = 0
-    for b0 in range(0, V, B):
-        b1 = min(b0 + B, V)
-        ts, tt = z_s[:, b0:b1], z_t[:, b0:b1]
-        record_alloc("kl_online_tile", 2 * T * (b1 - b0))
-        peak = max(peak, 2 * T * (b1 - b0))
-        lead, other = (tt, ts) if swap else (ts, tt)
-
-        m_new = np.maximum(m_s, np.max(ts, axis=-1))
-        scale_s = np.exp(m_s - m_new)
-        e_s = np.exp(ts - m_new[:, None])
-        zacc_s = zacc_s * scale_s + np.sum(e_s, axis=-1)
-        if not swap:
-            diff_acc = diff_acc * scale_s + np.sum(e_s * (lead - other), axis=-1)
-        m_s = m_new
-
-        m_new = np.maximum(m_t, np.max(tt, axis=-1))
-        scale_t = np.exp(m_t - m_new)
-        e_t = np.exp(tt - m_new[:, None])
-        zacc_t = zacc_t * scale_t + np.sum(e_t, axis=-1)
-        if swap:
-            diff_acc = diff_acc * scale_t + np.sum(e_t * (lead - other), axis=-1)
-        m_t = m_new
-
-    lse_s = m_s + np.log(zacc_s)
-    lse_t = m_t + np.log(zacc_t)
-    if swap:
-        d = diff_acc / zacc_t - lse_t + lse_s
-    else:
-        d = diff_acc / zacc_s - lse_s + lse_t
-    value = float(np.mean(d))
-
     grad = np.empty_like(z_s)
-    for b0 in range(0, V, B):
-        b1 = min(b0 + B, V)
-        p = np.exp(z_s[:, b0:b1] - lse_s[:, None])
-        record_alloc("kl_online_tile", 2 * T * (b1 - b0))
-        if swap:
-            grad[:, b0:b1] = (p - np.exp(z_t[:, b0:b1] - lse_t[:, None])) / T
-        else:
-            ell = (z_s[:, b0:b1] - z_t[:, b0:b1]) - lse_s[:, None] + lse_t[:, None]
-            grad[:, b0:b1] = p * (ell - d[:, None]) / T
-    return LossValueAndGrad(value, grad, peak_elements=peak + 5 * T)
+
+    def sink(b0, b1, dz):
+        grad[:, b0:b1] = dz
+
+    total = _kl_tiled(lambda b0, b1: (z_s[:, b0:b1], z_t[:, b0:b1]), sink,
+                      T, V, B, cfg.swap_direction, T, "kl_online_tile")
+    return LossValueAndGrad(total / T, grad, peak_elements=2 * T * B + 5 * T)
 
 
 def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
@@ -237,62 +248,21 @@ def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossVa
     T, V = h_s.shape[0], V_s
     C = min(cfg.kl_chunk, T)
     B = min(cfg.vocab_tile, V)
-    swap = cfg.swap_direction
     grad_h = np.zeros_like(h_s)
     total = 0.0
-    peak = 0
     for c0 in range(0, T, C):
         c1 = min(c0 + C, T)
-        rows = c1 - c0
         hs_c, ht_c = h_s[c0:c1], h_t[c0:c1]
 
-        m_s = np.full(rows, -np.inf)
-        m_t = np.full(rows, -np.inf)
-        zacc_s = np.zeros(rows)
-        zacc_t = np.zeros(rows)
-        diff_acc = np.zeros(rows)
-        for b0 in range(0, V, B):
-            b1 = min(b0 + B, V)
-            ts = hs_c @ w_lm_s[b0:b1].T
-            tt = ht_c @ w_lm_t[b0:b1].T
-            record_alloc("kl_hidden_tile", 2 * rows * (b1 - b0))
-            peak = max(peak, 2 * rows * (b1 - b0))
-            m_new = np.maximum(m_s, np.max(ts, axis=-1))
-            scale_s = np.exp(m_s - m_new)
-            e_s = np.exp(ts - m_new[:, None])
-            zacc_s = zacc_s * scale_s + np.sum(e_s, axis=-1)
-            if not swap:
-                diff_acc = diff_acc * scale_s + np.sum(e_s * (ts - tt), axis=-1)
-            m_s = m_new
-            m_new = np.maximum(m_t, np.max(tt, axis=-1))
-            scale_t = np.exp(m_t - m_new)
-            e_t = np.exp(tt - m_new[:, None])
-            zacc_t = zacc_t * scale_t + np.sum(e_t, axis=-1)
-            if swap:
-                diff_acc = diff_acc * scale_t + np.sum(e_t * (tt - ts), axis=-1)
-            m_t = m_new
+        def tiles(b0, b1):
+            return hs_c @ w_lm_s[b0:b1].T, ht_c @ w_lm_t[b0:b1].T
 
-        lse_s = m_s + np.log(zacc_s)
-        lse_t = m_t + np.log(zacc_t)
-        if swap:
-            d = diff_acc / zacc_t - lse_t + lse_s
-        else:
-            d = diff_acc / zacc_s - lse_s + lse_t
-        total += float(np.sum(d))
-
-        for b0 in range(0, V, B):
-            b1 = min(b0 + B, V)
-            ts = hs_c @ w_lm_s[b0:b1].T
-            tt = ht_c @ w_lm_t[b0:b1].T
-            record_alloc("kl_hidden_tile", 2 * rows * (b1 - b0))
-            p = np.exp(ts - lse_s[:, None])
-            if swap:
-                dz = (p - np.exp(tt - lse_t[:, None])) / T
-            else:
-                ell = (ts - tt) - lse_s[:, None] + lse_t[:, None]
-                dz = p * (ell - d[:, None]) / T
+        def sink(b0, b1, dz):
             grad_h[c0:c1] += dz @ w_lm_s[b0:b1]
-    return LossValueAndGrad(total / T, grad_h, peak_elements=peak + 5 * C)
+
+        total += _kl_tiled(tiles, sink, c1 - c0, V, B, cfg.swap_direction, T,
+                           "kl_hidden_tile")
+    return LossValueAndGrad(total / T, grad_h, peak_elements=2 * C * B + 5 * C)
 
 
 def fused_linear_ce(h, w_lm, targets, cfg: LossConfig | None = None) -> LossValueAndGrad:

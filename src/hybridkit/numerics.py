@@ -57,14 +57,11 @@ def softmax(x: Array, axis: int = -1) -> Array:
 
 
 def log_softmax(x: Array, axis: int = -1) -> Array:
-    m = np.max(x, axis=axis, keepdims=True)
-    shifted = x - m
-    return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def logsumexp(x: Array, axis: int = -1) -> Array:
-    m = np.max(x, axis=axis, keepdims=True)
-    return np.squeeze(m, axis=axis) + np.log(np.sum(np.exp(x - m), axis=axis))
+    """Subtracts in place, so the only x-sized buffers are the result and
+    the exp() temporary."""
+    out = x - np.max(x, axis=axis, keepdims=True)
+    out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -71,37 +71,6 @@ def _token_ranges(vocab: int, n_keys: int, n_values: int):
     return n_filler, n_filler, n_filler + n_keys, vocab - 1
 
 
-def gen_recall_example(rng, seq_len: int = 128, vocab: int = 64, n_keys: int = 8,
-                       n_values: int = 16, max_pairs: int = 6,
-                       n_queries: int = 4) -> TrainExample:
-    """One dense associative-recall training sequence: a variable number of
-    key->value pairs buried in filler, then several `[QUERY key answer]`
-    triples; every answer position is scored. Covers the single-pair
-    needle-in-haystack eval as the sparse end of the same distribution."""
-    n_filler, key0, val0, query_tok = _token_ranges(vocab, n_keys, n_values)
-    n_pairs = min(int(rng.integers(1, max_pairs + 1)), n_keys)
-    n_q = min(int(rng.integers(1, n_queries + 1)), n_pairs)
-    body = seq_len - 3 * n_q
-    if body < 2 * n_pairs:
-        raise ValueError("seq_len too small for the requested pairs/queries")
-    toks = rng.integers(0, n_filler, size=seq_len)
-    keys = rng.choice(n_keys, size=n_pairs, replace=False)
-    values = rng.integers(0, n_values, size=n_pairs)
-    slots = rng.choice(body // 2, size=n_pairs, replace=False) * 2
-    for s, k, v in zip(slots, keys, values):
-        toks[s] = key0 + k
-        toks[s + 1] = val0 + v
-    mask = np.zeros(seq_len - 1, dtype=bool)
-    queried = rng.choice(n_pairs, size=n_q, replace=False)
-    for j, qi in enumerate(queried):
-        at = body + 3 * j
-        toks[at] = query_tok
-        toks[at + 1] = key0 + keys[qi]
-        toks[at + 2] = val0 + values[qi]
-        mask[at + 1] = True
-    return TrainExample(tokens=toks, loss_mask=mask)
-
-
 def niah_generate(haystack_len: int, n_needles: int, seed: int, vocab: int = 64,
                   n_keys: int = 8, n_values: int = 16, n_items: int = 64,
                   needle_pos: int | None = None) -> NiahDataset:

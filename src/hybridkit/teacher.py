@@ -18,11 +18,13 @@ from .numerics import apply_rope, rmsnorm, rope_inv_freq, rope_tables, softmax
 
 
 @dataclass
-class TeacherTrace:
+class Trace:
+    """What a teacher or hybrid forward exposes for distillation."""
     hidden_states: list   # per layer, (T, d) after the full block
-    mixer_outputs: list   # per layer, (T, d) attention sublayer output
+    mixer_outputs: list   # per layer, (T, d) mixer sublayer output
     final_hidden: np.ndarray
     logits: np.ndarray | None = None
+    caches: list | None = None   # hybrid only: per-layer state for continuation
 
 
 def gqa_attention(layer: TeacherLayer, cfg, x: np.ndarray, cos, sin) -> np.ndarray:
@@ -53,7 +55,7 @@ def gqa_attention(layer: TeacherLayer, cfg, x: np.ndarray, cos, sin) -> np.ndarr
 
 
 def teacher_forward(ckpt: TeacherCheckpoint, tokens, want_logits: bool = True,
-                    want_trace: bool = False) -> TeacherTrace:
+                    want_trace: bool = False) -> Trace:
     cfg = ckpt.config
     tokens = np.asarray(tokens, dtype=np.int64)
     if tokens.ndim not in (1, 2) or tokens.size < 1:
@@ -81,4 +83,4 @@ def teacher_forward(ckpt: TeacherCheckpoint, tokens, want_logits: bool = True,
     if want_logits:
         record_alloc("teacher_logits", tokens.size * cfg.vocab)
         logits = final @ ckpt.lm_head.T
-    return TeacherTrace(hidden_states, mixer_outputs, final, logits)
+    return Trace(hidden_states, mixer_outputs, final, logits)

@@ -55,7 +55,7 @@ def _chunked_equivalence(hybrid: HybridModel, seed: int) -> CheckResult:
         x = rng.normal(size=(T, hybrid.config.d_model))
         for ly in gdn_layers[:2]:
             y_seq, _ = gdn_forward_sequential(ly.mixer, hybrid.gdn_cfg, x)
-            y_chk = gdn_forward_chunked(ly.mixer, hybrid.gdn_cfg, x)
+            y_chk, _ = gdn_forward_chunked(ly.mixer, hybrid.gdn_cfg, x)
             worst = max(worst, np.max(np.abs(y_seq - y_chk))
                         / (np.max(np.abs(y_seq)) + 1e-30))
     return CheckResult("gdn chunked == sequential", worst < 1e-4,

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 from hybridkit.gdn import GdnConfig
 from hybridkit.mla import MlaConfig
+
+# Property tests draw a fixed example set, so every run checks the same
+# cases; no database of failing examples is kept between runs.
+settings.register_profile("repo", derandomize=True, database=None, deadline=None)
+settings.load_profile("repo")
 
 
 @pytest.fixture(scope="session")

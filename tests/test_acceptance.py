@@ -95,7 +95,7 @@ def test_criterion_04_chunked_equals_sequential():
         w = init_gdn_from_teacher(teacher.layers[seed % 4], TOY, cfg, seed=seed)
         x = np.random.default_rng(seed + 10_000).normal(size=(T, 32))
         y_seq, _ = gdn_forward_sequential(w, cfg, x)
-        y_chk = gdn_forward_chunked(w, cfg, x)
+        y_chk, _ = gdn_forward_chunked(w, cfg, x)
         worst = max(worst, np.max(np.abs(y_seq - y_chk))
                     / (np.max(np.abs(y_seq)) + 1e-30))
     dt = time.time() - t0

@@ -2,12 +2,14 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 from hybridkit.gdn import (GdnBlockWeights, GdnConfig, GdnState,
                            delta_rule_chunked, delta_rule_sequential,
                            gdn_forward_chunked, gdn_forward_sequential,
-                           gdn_param_count, init_gdn_from_teacher)
+                           gdn_param_count, init_gdn_from_teacher, l2norm)
 from hybridkit.numerics import repeat_kv, rmsnorm, silu
 
 
@@ -100,7 +102,7 @@ class TestLayerForward:
     def test_chunked_equals_sequential_layer(self, weights, toy_gdn_config, T, rng):
         x = rng.normal(size=(T, 32))
         y_seq, _ = gdn_forward_sequential(weights, toy_gdn_config, x)
-        y_chk = gdn_forward_chunked(weights, toy_gdn_config, x)
+        y_chk, _ = gdn_forward_chunked(weights, toy_gdn_config, x)
         rel = np.max(np.abs(y_seq - y_chk)) / (np.max(np.abs(y_seq)) + 1e-30)
         assert rel < 1e-5
 
@@ -144,6 +146,41 @@ class TestLayerForward:
         expect = (rmsnorm(read, w.o_norm, 1e-6) * gate) @ w.w_o.T
         assert np.allclose(y[0], expect, atol=1e-10)
         assert np.allclose(state.s[0], s1, atol=1e-12)
+
+
+class TestProperties:
+    @settings(max_examples=60)
+    @given(T=st.integers(1, 200), chunk=st.integers(1, 96),
+           H=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_chunked_core_equals_sequential(self, T, chunk, H, seed):
+        q, k, v, g, beta, _ = random_core_inputs(seed, T, H=H)
+        q, k = l2norm(q), l2norm(k)     # as the layer feeds the core
+        s0 = np.random.default_rng(seed + 1).normal(size=(H, 6, 12))
+        o_seq, s_seq = delta_rule_sequential(q, k, v, g, beta, s0)
+        o_chk, s_chk = delta_rule_chunked(q, k, v, g, beta, s0, chunk=chunk)
+        scale = np.max(np.abs(o_seq)) + np.max(np.abs(s_seq))
+        assert np.max(np.abs(o_chk - o_seq)) / scale < 1e-10
+        assert np.max(np.abs(s_chk - s_seq)) / scale < 1e-10
+
+    @settings(max_examples=30)
+    @given(data=st.data(), T=st.integers(2, 150), chunk=st.integers(1, 80),
+           H=st.sampled_from([1, 2, 3, 4, 6]), seed=st.integers(0, 2**32 - 1))
+    def test_chunked_continuation_equals_sequential(self, toy_teacher, data, T,
+                                                    chunk, H, seed):
+        split = data.draw(st.integers(1, T - 1), label="split")
+        cfg = GdnConfig(d=32, n_heads=H, chunk=chunk)
+        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg,
+                                  seed=seed % 1000)
+        x = np.random.default_rng(seed).normal(size=(T, 32))
+        full, end = gdn_forward_sequential(w, cfg, x)
+        y1, mid = gdn_forward_chunked(w, cfg, x[:split])
+        y2, last = gdn_forward_chunked(w, cfg, x[split:], state=mid)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(np.concatenate([y1, y2]) - full)) / scale < 1e-10
+        assert np.max(np.abs(last.s - end.s)) < 1e-10
+        for name in ("conv_q", "conv_k", "conv_v"):
+            assert np.allclose(getattr(last, name), getattr(end, name),
+                               rtol=0, atol=1e-12)
 
 
 class TestInit:

@@ -65,6 +65,19 @@ class TestAssembly:
         with pytest.raises(ValueError):
             HybridLayout(4, (4,))
 
+    def test_layout_files_with_or_without_linear_kind_load(self):
+        for d in ({"n_layers": 4, "mla_indices": [3, 1], "linear_kind": "gdn"},
+                  {"n_layers": 4, "mla_indices": [1, 3]}):
+            layout = HybridLayout.from_dict(d)
+            assert layout.mla_indices == (1, 3)
+            assert layout.to_dict() == {"n_layers": 4, "mla_indices": [1, 3],
+                                        "linear_kind": "gdn"}
+
+    def test_layout_with_other_linear_kind_rejected(self):
+        with pytest.raises(ValueError, match="linear_kind"):
+            HybridLayout.from_dict({"n_layers": 4, "mla_indices": [1],
+                                    "linear_kind": "mamba"})
+
 
 class TestForward:
     def test_causality_end_to_end(self, hybrid, rng):
@@ -87,6 +100,16 @@ class TestForward:
             caches = step.caches
             outs.append(step.logits)
         assert np.max(np.abs(np.concatenate(outs) - full)) < 1e-5
+
+    def test_gdn_caches_continue_at_offset_zero(self, pure_models, rng):
+        # Without rotary positions a pure-GDN stack can resume a supplied
+        # cache at offset 0; the state must carry over, not be dropped.
+        gdn = pure_models[1]
+        toks = rng.integers(0, 64, size=40)
+        full = hybrid_forward(gdn, toks).logits
+        pre = hybrid_forward(gdn, toks[:24])
+        cont = hybrid_forward(gdn, toks[24:], caches=pre.caches)
+        assert np.max(np.abs(cont.logits - full[24:])) < 1e-9
 
     def test_mla_cache_budget_exact(self, hybrid, rng):
         toks = rng.integers(0, 64, size=10)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkit.losses import (LossConfig, fused_linear_ce, ild_grads, ild_loss,
                               kl_chunked, kl_hidden, kl_naive, kl_online)
-from hybridkit.teacher import TeacherTrace
+from hybridkit.teacher import Trace
 
 
 def kl_scalar_oracle(z_s, z_t, eps=1e-12):
@@ -19,8 +21,8 @@ def kl_scalar_oracle(z_s, z_t, eps=1e-12):
 
 
 def make_trace(hs, as_):
-    return TeacherTrace(hidden_states=hs, mixer_outputs=as_,
-                        final_hidden=hs[-1] if hs else None)
+    return Trace(hidden_states=hs, mixer_outputs=as_,
+                 final_hidden=hs[-1] if hs else None)
 
 
 class TestIld:
@@ -244,6 +246,32 @@ class TestBoundedPaths:
         hid = kl_hidden(h_s, w_s, h_t, w_t, cfg)
         assert abs(hid.value - ref.value) < 1e-5
         assert np.max(np.abs(hid.grad - ref.grad @ w_s)) < 1e-4
+
+    @settings(max_examples=80)
+    @given(T=st.integers(1, 60), V=st.integers(1, 80), C=st.integers(1, 70),
+           B=st.integers(1, 90), swap=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_paths_agree_and_report_their_peak(self, T, V, C, B, swap, seed):
+        r = np.random.default_rng(seed)
+        d_s, d_t = int(r.integers(1, 10)), int(r.integers(1, 10))
+        h_s = r.normal(size=(T, d_s)) * r.uniform(0.5, 3)
+        w_s = r.normal(size=(V, d_s))
+        h_t = r.normal(size=(T, d_t))
+        w_t = r.normal(size=(V, d_t))
+        z_s, z_t = h_s @ w_s.T, h_t @ w_t.T
+        cfg = LossConfig(kl_chunk=C, vocab_tile=B, swap_direction=swap)
+        ref = kl_naive(z_s, z_t, cfg)
+        chunked, online = kl_chunked(z_s, z_t, cfg), kl_online(z_s, z_t, cfg)
+        hidden = kl_hidden(h_s, w_s, h_t, w_t, cfg)
+        for out in (chunked, online):
+            assert abs(out.value - ref.value) < 1e-10
+            assert np.max(np.abs(out.grad - ref.grad)) < 1e-12
+        assert abs(hidden.value - ref.value) < 1e-10
+        assert np.max(np.abs(hidden.grad - ref.grad @ w_s)) < 1e-10
+        c, b = min(C, T), min(B, V)
+        assert ref.peak_elements == 2 * T * V
+        assert chunked.peak_elements == 2 * c * V + 2 * T
+        assert online.peak_elements == 2 * T * b + 5 * T
+        assert hidden.peak_elements == 2 * c * b + 5 * c
 
 
 class TestFusedLinearCe:
