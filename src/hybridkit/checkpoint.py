@@ -68,6 +68,16 @@ class TeacherLayer:
     k_norm: np.ndarray | None = None
 
 
+# TeacherLayer field -> tensor name under `layers.{i}.`, in container order.
+_LAYER_TENSORS = {
+    "wq": "attn.wq", "wk": "attn.wk", "wv": "attn.wv", "wo": "attn.wo",
+    "q_norm": "attn.q_norm", "k_norm": "attn.k_norm",
+    "mlp_gate": "mlp.gate", "mlp_up": "mlp.up", "mlp_down": "mlp.down",
+    "norm_attn": "norm_attn", "norm_mlp": "norm_mlp",
+}
+_QK_NORM_FIELDS = ("q_norm", "k_norm")
+
+
 @dataclass
 class TeacherCheckpoint:
     config: TransformerConfig
@@ -79,19 +89,9 @@ class TeacherCheckpoint:
     def named_tensors(self) -> dict:
         out = {}
         for i, ly in enumerate(self.layers):
-            p = f"layers.{i}"
-            out[f"{p}.attn.wq"] = ly.wq
-            out[f"{p}.attn.wk"] = ly.wk
-            out[f"{p}.attn.wv"] = ly.wv
-            out[f"{p}.attn.wo"] = ly.wo
-            if ly.q_norm is not None:
-                out[f"{p}.attn.q_norm"] = ly.q_norm
-                out[f"{p}.attn.k_norm"] = ly.k_norm
-            out[f"{p}.mlp.gate"] = ly.mlp_gate
-            out[f"{p}.mlp.up"] = ly.mlp_up
-            out[f"{p}.mlp.down"] = ly.mlp_down
-            out[f"{p}.norm_attn"] = ly.norm_attn
-            out[f"{p}.norm_mlp"] = ly.norm_mlp
+            for f, name in _LAYER_TENSORS.items():
+                if getattr(ly, f) is not None:
+                    out[f"layers.{i}.{name}"] = getattr(ly, f)
         out["embedding"] = self.embedding
         out["final_norm"] = self.final_norm
         out["lm_head"] = self.lm_head
@@ -170,27 +170,25 @@ def save_teacher(ckpt: TeacherCheckpoint, path) -> None:
     write_container(path, ckpt.named_tensors(), meta)
 
 
+def _teacher_names(meta: dict | None) -> set | None:
+    """Every tensor name the teacher checkpoint described by `meta` holds."""
+    if meta is None or meta.get("kind") != "teacher":
+        return None
+    c = TransformerConfig.from_dict(meta["config"])
+    per_layer = [name for f, name in _LAYER_TENSORS.items()
+                 if c.qk_norm or f not in _QK_NORM_FIELDS]
+    return {f"layers.{i}.{name}" for i in range(c.n_layers)
+            for name in per_layer} | {"embedding", "final_norm", "lm_head"}
+
+
 def load_teacher(path) -> TeacherCheckpoint:
-    tensors, meta = read_container(path)
+    tensors, meta = read_container(path, expected=_teacher_names)
     if meta is None or meta.get("kind") != "teacher":
         raise ValueError(f"{path} is not a teacher checkpoint")
     c = TransformerConfig.from_dict(meta["config"])
-    layers = []
-    for i in range(c.n_layers):
-        p = f"layers.{i}"
-        layers.append(TeacherLayer(
-            wq=tensors[f"{p}.attn.wq"],
-            wk=tensors[f"{p}.attn.wk"],
-            wv=tensors[f"{p}.attn.wv"],
-            wo=tensors[f"{p}.attn.wo"],
-            mlp_gate=tensors[f"{p}.mlp.gate"],
-            mlp_up=tensors[f"{p}.mlp.up"],
-            mlp_down=tensors[f"{p}.mlp.down"],
-            norm_attn=tensors[f"{p}.norm_attn"],
-            norm_mlp=tensors[f"{p}.norm_mlp"],
-            q_norm=tensors.get(f"{p}.attn.q_norm"),
-            k_norm=tensors.get(f"{p}.attn.k_norm"),
-        ))
+    layers = [TeacherLayer(**{f: tensors.get(f"layers.{i}.{name}")
+                              for f, name in _LAYER_TENSORS.items()})
+              for i in range(c.n_layers)]
     ckpt = TeacherCheckpoint(
         config=c,
         layers=layers,

@@ -76,6 +76,13 @@ def _open_hybrid(path, flag: str):
         raise CliError(str(e))
 
 
+def _convert(fn, teacher, cfg, seed):
+    try:
+        return fn(teacher, cfg, seed=seed)
+    except ValueError as e:
+        raise CliError(str(e))
+
+
 def cmd_convert_mla(args):
     teacher = _open_teacher(args.teacher)
     if args.mla_config:
@@ -84,7 +91,7 @@ def cmd_convert_mla(args):
         cfg = default_mla_config(teacher.config, args.cache_per_token)
     if args.yarn_factor > 1.0:
         cfg = yarn_scale(cfg, args.yarn_factor)
-    model = convert_teacher_to_mla(teacher, cfg, seed=args.seed)
+    model = _convert(convert_teacher_to_mla, teacher, cfg, args.seed)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "mla_config": cfg.to_dict()},
           [f"wrote pure latent-attention model to {args.out}",
@@ -95,7 +102,7 @@ def cmd_convert_mla(args):
 def cmd_convert_gdn(args):
     teacher = _open_teacher(args.teacher)
     cfg = GdnConfig(d=teacher.config.d_model, n_heads=args.heads)
-    model = convert_teacher_to_gdn(teacher, cfg, seed=args.seed)
+    model = _convert(convert_teacher_to_gdn, teacher, cfg, args.seed)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "gdn_config": cfg.to_dict()},
           [f"wrote pure gated-delta model to {args.out}"])

@@ -52,11 +52,13 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
             f.write(chunk)
 
 
-def read_container(path, expected: set | None = None):
+def read_container(path, expected=None):
     """Read back (tensors, meta). Tensors come out float64 on the f32 grid.
 
-    When `expected` is given, unexpected tensor names load anyway but are
-    reported as warnings.
+    `expected` is a set of tensor names, or a function of the metadata that
+    returns one (None to skip the check). A missing expected name raises
+    ContainerError naming it and the file; unexpected names load anyway but
+    are reported as warnings.
     """
     with open(path, "rb") as f:
         prefix = f.read(HEADER_PREFIX_BYTES)
@@ -107,8 +109,13 @@ def read_container(path, expected: set | None = None):
         if s1 < e0:
             raise ContainerError(f"tensors {n0!r} and {n1!r} overlap in payload")
 
+    if callable(expected):
+        expected = expected(meta)
     if expected is not None:
-        extras = sorted(set(tensors) - expected)
+        missing = sorted(set(expected) - set(tensors))
+        if missing:
+            raise ContainerError(f"{path}: missing tensor {', '.join(missing)}")
+        extras = sorted(set(tensors) - set(expected))
         if extras:
             warnings.warn(f"container has unknown extra tensors: {extras}")
     return tensors, meta

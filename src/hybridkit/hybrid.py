@@ -17,7 +17,7 @@ memory technique eliminates.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -110,9 +110,18 @@ class HybridModel:
 # Conversion and assembly
 # ---------------------------------------------------------------------------
 
+def _reject_qk_norm(ckpt: TeacherCheckpoint) -> None:
+    # Neither mixer has a place for the teacher's per-head Q/K RMSNorm, so
+    # converting would drop it silently.
+    if ckpt.config.qk_norm:
+        raise ValueError("teacher uses qk_norm (per-head Q/K RMSNorm), which "
+                         "conversion does not support")
+
+
 def convert_teacher_to_mla(ckpt: TeacherCheckpoint, cfg: MlaConfig,
                            seed: int = 0) -> HybridModel:
     """Replace every attention layer with a latent-attention block."""
+    _reject_qk_norm(ckpt)
     layout = HybridLayout(ckpt.config.n_layers, tuple(range(ckpt.config.n_layers)))
     layers = [
         HybridLayer("mla", init_mla_from_teacher(ly, ckpt.config, cfg, seed + i),
@@ -126,6 +135,7 @@ def convert_teacher_to_mla(ckpt: TeacherCheckpoint, cfg: MlaConfig,
 def convert_teacher_to_gdn(ckpt: TeacherCheckpoint, cfg: GdnConfig,
                            seed: int = 0) -> HybridModel:
     """Replace every attention layer with a gated delta-rule block."""
+    _reject_qk_norm(ckpt)
     layout = HybridLayout(ckpt.config.n_layers, ())
     layers = [
         HybridLayer("gdn", init_gdn_from_teacher(ly, ckpt.config, cfg, seed + i),
@@ -392,8 +402,34 @@ def save_hybrid(model: HybridModel, path) -> None:
     write_container(path, model.named_tensors(), meta)
 
 
+_MLP_NORM_TENSORS = ("mlp.gate", "mlp.up", "mlp.down", "norm_attn", "norm_mlp")
+
+
+def _mixer_fields(kind: str, mla_cfg: MlaConfig | None) -> list:
+    if kind == "gdn":
+        return [f.name for f in fields(GdnBlockWeights)]
+    if mla_cfg is None:
+        raise ValueError("hybrid checkpoint has latent-attention layers but no mla_cfg")
+    return [f.name for f in fields(MlaBlockWeights)
+            if f.name != "w_gate" or mla_cfg.gate_mode]
+
+
+def _hybrid_names(meta: dict | None) -> set | None:
+    if meta is None or meta.get("kind") != "hybrid":
+        return None
+    n_layers = TransformerConfig.from_dict(meta["config"]).n_layers
+    layout = HybridLayout.from_dict(meta["layout"])
+    mla_cfg = MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None
+    names = {"embedding", "final_norm", "lm_head"}
+    for i in range(n_layers):
+        kind = layout.kind(i)
+        names |= {f"{kind}.{i}.{f}" for f in _mixer_fields(kind, mla_cfg)}
+        names |= {f"layers.{i}.{name}" for name in _MLP_NORM_TENSORS}
+    return names
+
+
 def load_hybrid(path) -> HybridModel:
-    tensors, meta = read_container(path)
+    tensors, meta = read_container(path, expected=_hybrid_names)
     if meta is None or meta.get("kind") != "hybrid":
         raise ValueError(f"{path} is not a hybrid checkpoint")
     cfg = TransformerConfig.from_dict(meta["config"])
@@ -404,24 +440,12 @@ def load_hybrid(path) -> HybridModel:
     layers = []
     for i in range(cfg.n_layers):
         kind = layout.kind(i)
-        if kind == "mla":
-            p = f"mla.{i}"
-            mixer = MlaBlockWeights(
-                w_qa=tensors[f"{p}.w_qa"], norm_q=tensors[f"{p}.norm_q"],
-                w_qb=tensors[f"{p}.w_qb"], w_qr=tensors[f"{p}.w_qr"],
-                w_kva=tensors[f"{p}.w_kva"], norm_kv=tensors[f"{p}.norm_kv"],
-                w_kb=tensors[f"{p}.w_kb"], w_vb=tensors[f"{p}.w_vb"],
-                w_kr=tensors[f"{p}.w_kr"], w_o=tensors[f"{p}.w_o"],
-                w_gate=tensors.get(f"{p}.w_gate"))
-        else:
-            p = f"gdn.{i}"
-            mixer = GdnBlockWeights(**{k: tensors[f"{p}.{k}"] for k in (
-                "w_q", "w_k", "w_v", "w_g", "w_o", "w_alpha", "w_beta",
-                "a_log", "dt_bias", "conv_q", "conv_k", "conv_v", "o_norm")})
+        weights = MlaBlockWeights if kind == "mla" else GdnBlockWeights
+        mixer = weights(**{f: tensors[f"{kind}.{i}.{f}"]
+                           for f in _mixer_fields(kind, mla_cfg)})
         lp = f"layers.{i}"
-        layers.append(HybridLayer(kind, mixer, tensors[f"{lp}.mlp.gate"],
-                                  tensors[f"{lp}.mlp.up"], tensors[f"{lp}.mlp.down"],
-                                  tensors[f"{lp}.norm_attn"], tensors[f"{lp}.norm_mlp"]))
+        layers.append(HybridLayer(kind, mixer, *(tensors[f"{lp}.{name}"]
+                                                 for name in _MLP_NORM_TENSORS)))
     return HybridModel(cfg, layout, layers, tensors["embedding"],
                        tensors["final_norm"], tensors["lm_head"],
                        mla_cfg=mla_cfg, gdn_cfg=gdn_cfg)

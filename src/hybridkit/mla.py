@@ -8,9 +8,12 @@ Queries and keys/values pass through low-rank bottlenecks:
 
 Per head the query/key are [nope; RoPE(rope)] with the rope key shared across
 heads, and standard causal attention runs at scale 1/sqrt(d_nope + d_rope).
-Decoding caches only the latent c^KV and the rotated rope key, i.e.
-r_kv + d_rope elements per token, and reconstructs per-head keys/values from
-the latent at read time.
+The cache holds one row of r_kv + d_rope elements per token,
+[Norm(c^KV) | RoPE(k^rope)], normalized once when the token is appended.
+Prefill and training expand per-head keys/values from it. A single new token
+attends in latent space instead (weight absorption, DeepSeek-V2 §2.1): its
+query becomes [W_kb[h]^T q^nope[h] | q^rope[h]], scores are one product with
+the cached rows, and W_vb[h] maps the attended latent back to head h's value.
 
 Initialization from a teacher attention layer factorizes the teacher's
 projections with truncated SVD: the query path from W_q directly, the joint
@@ -131,15 +134,25 @@ class MlaBlockWeights:
 
 @dataclass
 class MlaCache:
-    latents: np.ndarray     # (T, r_kv) raw c^KV, pre-norm
-    rope_keys: np.ndarray   # (T, d_rope) rotated
+    kv: np.ndarray  # (T, r_kv + d_rope): [Norm(c^KV) | rotated k^rope] per token
+    r_kv: int
 
     @classmethod
     def empty(cls, cfg: MlaConfig) -> "MlaCache":
-        return cls(np.zeros((0, cfg.r_kv)), np.zeros((0, cfg.d_qk_rope)))
+        return cls(np.zeros((0, cfg.cache_per_token)), cfg.r_kv)
+
+    @property
+    def latents(self) -> np.ndarray:
+        """(T, r_kv) normalized c^KV, a view of `kv`."""
+        return self.kv[:, :self.r_kv]
+
+    @property
+    def rope_keys(self) -> np.ndarray:
+        """(T, d_rope) rotated rope keys, a view of `kv`."""
+        return self.kv[:, self.r_kv:]
 
     def __len__(self) -> int:
-        return self.latents.shape[0]
+        return self.kv.shape[0]
 
 
 def _mla_rope_tables(cfg: MlaConfig, positions: np.ndarray):
@@ -182,33 +195,42 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
     qr_pre = (cq @ w.w_qr.T).reshape(B, T, H, dr)
     qr = qr_pre if cfg.nope_mode else apply_rope(qr_pre, cos[:, None, :], sin[:, None, :])
 
-    ckv_new = xb @ w.w_kva.T
+    ckv_raw = xb @ w.w_kva.T
     kr_pre = xb @ w.w_kr.T
     kr_new = kr_pre if cfg.nope_mode else apply_rope(kr_pre, cos, sin)
+    kv_new = np.concatenate(
+        [rmsnorm(ckv_raw, w.norm_kv, cfg.eps), kr_new], axis=-1)
 
     record_alloc("mla_cache", (n_prior + T) * cfg.cache_per_token)
-    latents = np.concatenate(
-        [np.broadcast_to(cache.latents, (B,) + cache.latents.shape), ckv_new], axis=1)
-    rope_keys = np.concatenate(
-        [np.broadcast_to(cache.rope_keys, (B,) + cache.rope_keys.shape), kr_new], axis=1)
-    S = latents.shape[1]
-
-    # Reconstruct per-head keys/values from cached latents.
-    ckv = rmsnorm(latents, w.norm_kv, cfg.eps)
-    kn = (ckv @ w.w_kb.T).reshape(B, S, H, dn)
-    v = (ckv @ w.w_vb.T).reshape(B, S, H, dv)
+    kv = np.concatenate([np.broadcast_to(cache.kv, (B,) + cache.kv.shape), kv_new],
+                        axis=1)
+    S = kv.shape[1]
+    ckv, rope_keys = kv[..., :cfg.r_kv], kv[..., cfg.r_kv:]
 
     scale = 1.0 / np.sqrt(cfg.d_qk)
-    mask = np.triu(np.full((T, S), -np.inf), k=1 + n_prior)
-    qn_h = qn.transpose(0, 2, 1, 3)                 # (B, H, T, dn)
-    qr_h = qr.transpose(0, 2, 1, 3)
-    kn_h = kn.transpose(0, 2, 1, 3)                 # (B, H, S, dn)
-    v_h = v.transpose(0, 2, 1, 3)
-    scores = (np.matmul(qn_h, kn_h.transpose(0, 1, 3, 2))
-              + np.matmul(qr_h, rope_keys[:, None].transpose(0, 1, 3, 2))) * scale
-    probs = softmax(scores + mask)                  # (B, H, T, S)
-    ctx = np.matmul(probs, v_h)                     # (B, H, T, dv)
-    ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
+    if single and T == 1 and tape is None:
+        # Absorbed step: w_kb folds into the query, so scores read the cached
+        # rows directly, and w_vb maps the attended latent to each head's value.
+        q_lat = np.matmul(qn[0, 0, :, None, :], w.w_kb.reshape(H, dn, -1))[:, 0]
+        q = np.concatenate([q_lat, qr[0, 0]], axis=-1) * scale     # (H, r_kv + dr)
+        probs = softmax(q @ kv[0].T)                                # (H, S)
+        ctx_lat = probs @ ckv[0]                                    # (H, r_kv)
+        ctx = np.matmul(w.w_vb.reshape(H, dv, -1), ctx_lat[:, :, None])
+        ctx2 = ctx.reshape(B, T, H * dv)
+    else:
+        # Expanded form: per-head keys/values for every cached token.
+        kn = (ckv @ w.w_kb.T).reshape(B, S, H, dn)
+        v = (ckv @ w.w_vb.T).reshape(B, S, H, dv)
+        mask = np.triu(np.full((T, S), -np.inf), k=1 + n_prior)
+        qn_h = qn.transpose(0, 2, 1, 3)                 # (B, H, T, dn)
+        qr_h = qr.transpose(0, 2, 1, 3)
+        kn_h = kn.transpose(0, 2, 1, 3)                 # (B, H, S, dn)
+        v_h = v.transpose(0, 2, 1, 3)
+        scores = (np.matmul(qn_h, kn_h.transpose(0, 1, 3, 2))
+                  + np.matmul(qr_h, rope_keys[:, None].transpose(0, 1, 3, 2))) * scale
+        probs = softmax(scores + mask)                  # (B, H, T, S)
+        ctx = np.matmul(probs, v_h)                     # (B, H, T, dv)
+        ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
     out = ctx2 @ w.w_o.T
 
     gate_pre = None
@@ -218,12 +240,12 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
 
     if tape is not None:
         tape.update(x=xb, cq_raw=cq_raw, cq=cq, qn_h=qn_h, qr_h=qr_h,
-                    ckv_raw=ckv_new, ckv=ckv, kn_h=kn_h, v_h=v_h,
+                    ckv_raw=ckv_raw, ckv=ckv, kn_h=kn_h, v_h=v_h,
                     rope_keys=rope_keys, probs=probs, ctx2=ctx2, cos=cos,
                     sin=sin, gate_pre=gate_pre,
                     out_ungated=ctx2 @ w.w_o.T if cfg.gate_mode else None)
     if single:
-        return out[0], MlaCache(latents[0], rope_keys[0])
+        return out[0], MlaCache(kv[0], cfg.r_kv)
     return out, None
 
 

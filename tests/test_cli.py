@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hybridkit.cli import main
+from hybridkit.container import read_container, write_container
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +126,27 @@ class TestErrors:
         rc = main(["convert-gdn", "--teacher", str(workdir / "hybrid.ckpt"),
                    "--out", "/tmp/x.ckpt"])
         assert rc == 1
+
+    def test_qk_norm_teacher_conversion_exits_one(self, tmp_path, capsys):
+        cfg = {"d_model": 32, "n_layers": 2, "n_q_heads": 4, "n_kv_heads": 2,
+               "head_dim": 8, "vocab": 64, "mlp_hidden": 64, "qk_norm": True}
+        (tmp_path / "c.json").write_text(json.dumps(cfg))
+        assert main(["gen-teacher", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "t.ckpt")]) == 0
+        for cmd in ("convert-mla", "convert-gdn"):
+            rc = main([cmd, "--teacher", str(tmp_path / "t.ckpt"),
+                       "--out", str(tmp_path / "x.ckpt")])
+            assert rc == 1
+            assert "qk_norm" in capsys.readouterr().err
+            assert not (tmp_path / "x.ckpt").exists()
+
+    def test_missing_teacher_tensor_exits_one(self, workdir, tmp_path, capsys):
+        tensors, meta = read_container(workdir / "t.ckpt")
+        del tensors["layers.1.attn.wv"]
+        write_container(tmp_path / "t.ckpt", tensors, meta)
+        rc = main(["convert-mla", "--teacher", str(tmp_path / "t.ckpt"),
+                   "--mla-config", str(workdir / "mla.json"),
+                   "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "layers.1.attn.wv" in err and "t.ckpt" in err

@@ -85,6 +85,24 @@ class TestTeacherCheckpoint:
         for name, t in toy_teacher.named_tensors().items():
             assert np.array_equal(loaded.named_tensors()[name], t), name
 
+    def test_missing_tensor_named(self, tmp_path, toy_teacher):
+        path = tmp_path / "teacher.ckpt"
+        save_teacher(toy_teacher, path)
+        tensors, meta = read_container(path)
+        del tensors["layers.1.attn.wv"]
+        write_container(path, tensors, meta)
+        with pytest.raises(ValueError, match=r"teacher\.ckpt.*layers\.1\.attn\.wv"):
+            load_teacher(path)
+
+    def test_extra_tensor_warns_and_loads(self, tmp_path, toy_teacher):
+        path = tmp_path / "teacher.ckpt"
+        save_teacher(toy_teacher, path)
+        tensors, meta = read_container(path)
+        write_container(path, {**tensors, "mystery": np.ones(3)}, meta)
+        with pytest.warns(UserWarning, match="mystery"):
+            loaded = load_teacher(path)
+        assert loaded.named_tensors().keys() == toy_teacher.named_tensors().keys()
+
     def test_gen_deterministic(self, toy_config):
         a = gen_toy_teacher(toy_config, seed=7)
         b = gen_toy_teacher(toy_config, seed=7)

@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkit.accounting import track_allocations
-from hybridkit.checkpoint import TransformerConfig
+from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
+from hybridkit.container import read_container, write_container
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
                               format_gb, hybrid_forward, kv_cache_report,
@@ -73,6 +78,14 @@ class TestAssembly:
             assert layout.to_dict() == {"n_layers": 4, "mla_indices": [1, 3],
                                         "linear_kind": "gdn"}
 
+    def test_qk_norm_teacher_rejected(self, toy_config, toy_mla_config,
+                                      toy_gdn_config):
+        teacher = gen_toy_teacher(replace(toy_config, qk_norm=True), 0)
+        with pytest.raises(ValueError, match="qk_norm"):
+            convert_teacher_to_mla(teacher, toy_mla_config)
+        with pytest.raises(ValueError, match="qk_norm"):
+            convert_teacher_to_gdn(teacher, toy_gdn_config)
+
     def test_layout_with_other_linear_kind_rejected(self):
         with pytest.raises(ValueError, match="linear_kind"):
             HybridLayout.from_dict({"n_layers": 4, "mla_indices": [1],
@@ -110,6 +123,46 @@ class TestForward:
         pre = hybrid_forward(gdn, toks[:24])
         cont = hybrid_forward(gdn, toks[24:], caches=pre.caches)
         assert np.max(np.abs(cont.logits - full[24:])) < 1e-9
+
+    @pytest.fixture(scope="class")
+    def hybrid_for_flags(self, toy_teacher, toy_mla_config, pure_models):
+        built = {}
+
+        def get(nope, gate, yarn):
+            key = (nope, gate, yarn)
+            if key not in built:
+                # With yarn, the sequence runs past the original context.
+                cfg = replace(toy_mla_config, nope_mode=nope, gate_mode=gate,
+                              yarn_factor=4.0 if yarn else 1.0,
+                              orig_context=16 if yarn else 2048)
+                pure_mla = convert_teacher_to_mla(toy_teacher, cfg, seed=10)
+                built[key] = assemble_hybrid(pure_mla, pure_models[1],
+                                             HybridLayout(4, (1, 3)))
+            return built[key]
+        return get
+
+    @settings(max_examples=24)
+    @given(split=st.integers(1, 32), steps=st.integers(1, 12),
+           nope=st.booleans(), gate=st.booleans(), yarn=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_decode_matches_prefill(self, hybrid_for_flags, split, steps, nope,
+                                    gate, yarn, seed):
+        model = hybrid_for_flags(nope, gate, yarn)
+        rng = np.random.default_rng(seed)
+        prompt = rng.integers(0, 64, size=split)
+        pre = hybrid_forward(model, prompt)
+        # Two continuations branch from the same prefill caches: extending
+        # the caches for one must leave them valid for the other.
+        for _ in range(2):
+            toks = np.concatenate([prompt, rng.integers(0, 64, size=steps)])
+            full = hybrid_forward(model, toks).logits
+            caches = pre.caches
+            for t in range(split, split + steps):
+                step = hybrid_forward(model, toks[t:t + 1], caches=caches,
+                                      position_offset=t)
+                caches = step.caches
+                assert np.max(np.abs(step.logits - full[t:t + 1])) < 1e-5
+            assert np.max(np.abs(pre.logits - full[:split])) < 1e-5
 
     def test_mla_cache_budget_exact(self, hybrid, rng):
         toks = rng.integers(0, 64, size=10)
@@ -218,6 +271,24 @@ class TestSerialization:
         for name, t in hybrid.named_tensors().items():
             assert np.array_equal(loaded.named_tensors()[name], t), name
         assert loaded.layout.to_dict() == hybrid.layout.to_dict()
+
+    def test_missing_tensor_named(self, hybrid, tmp_path):
+        path = tmp_path / "h.ckpt"
+        save_hybrid(hybrid, path)
+        tensors, meta = read_container(path)
+        del tensors["mla.1.w_kb"]
+        write_container(path, tensors, meta)
+        with pytest.raises(ValueError, match=r"h\.ckpt.*mla\.1\.w_kb"):
+            load_hybrid(path)
+
+    def test_extra_tensor_warns_and_loads(self, hybrid, tmp_path):
+        path = tmp_path / "h.ckpt"
+        save_hybrid(hybrid, path)
+        tensors, meta = read_container(path)
+        write_container(path, {**tensors, "mystery": np.ones(3)}, meta)
+        with pytest.warns(UserWarning, match="mystery"):
+            loaded = load_hybrid(path)
+        assert loaded.named_tensors().keys() == hybrid.named_tensors().keys()
 
     def test_forward_identical_after_reload(self, hybrid, tmp_path, rng):
         path = tmp_path / "h.ckpt"

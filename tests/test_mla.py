@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,12 +56,38 @@ class TestForward:
             outs.append(y)
         assert np.max(np.abs(np.concatenate(outs) - full)) < 1e-5
 
+    @pytest.mark.parametrize("flags", [
+        {}, {"nope_mode": True}, {"gate_mode": True},
+        {"yarn_factor": 4.0, "orig_context": 4}])
+    def test_single_token_step_matches_prefill_rows(self, toy_teacher, toy_mla_config,
+                                                    rng, flags):
+        # The cached one-token step attends in latent space; prefill expands
+        # per-head keys and values. Both compute the same attention.
+        cfg = replace(toy_mla_config, **flags)
+        w = init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg)
+        x = rng.normal(size=(12, 32))
+        full, _ = mla_forward(w, cfg, x)
+        _, cache = mla_forward(w, cfg, x[:1])
+        for t in range(1, 12):
+            y, cache = mla_forward(w, cfg, x[t:t + 1], cache=cache, position_offset=t)
+            assert np.max(np.abs(y - full[t:t + 1])) < 1e-12
+
     def test_cache_stores_exactly_budgeted_elements(self, weights, toy_mla_config, rng):
-        x = rng.normal(size=(6, 32))
-        _, cache = mla_forward(weights, toy_mla_config, x)
-        per_token = cache.latents.shape[1] + cache.rope_keys.shape[1]
-        assert per_token == toy_mla_config.cache_per_token
-        assert cache.latents.shape[0] == 6
+        cfg = toy_mla_config
+        x = rng.normal(size=(7, 32))
+        _, cache = mla_forward(weights, cfg, x[:6])
+        _, stepped = mla_forward(weights, cfg, x[6:], cache=cache, position_offset=6)
+        for n, c in ((6, cache), (7, stepped)):
+            per_token = c.latents.shape[1] + c.rope_keys.shape[1]
+            assert per_token == cfg.cache_per_token
+            assert c.latents.shape[0] == n
+            # One array holds both parts, with no spare capacity.
+            assert c.latents.base is c.rope_keys.base
+            assert c.latents.base.size == n * cfg.cache_per_token
+            # Latents are stored normalized, so a step never re-normalizes them.
+            assert np.allclose(c.latents, rmsnorm(x[:n] @ weights.w_kva.T,
+                                                  weights.norm_kv, cfg.eps),
+                               rtol=0, atol=1e-14)
 
     def test_nope_mode_shift_equivariant(self, toy_teacher, toy_mla_config, rng):
         cfg = copy.deepcopy(toy_mla_config)
