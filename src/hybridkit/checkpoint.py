@@ -75,7 +75,21 @@ _LAYER_TENSORS = {
     "mlp_gate": "mlp.gate", "mlp_up": "mlp.up", "mlp_down": "mlp.down",
     "norm_attn": "norm_attn", "norm_mlp": "norm_mlp",
 }
-_QK_NORM_FIELDS = ("q_norm", "k_norm")
+
+
+def teacher_shapes(c: TransformerConfig) -> dict:
+    """Tensor name -> shape for every tensor a teacher with config `c` holds."""
+    d, h = c.d_model, c.mlp_hidden
+    q, kv = c.n_q_heads * c.head_dim, c.n_kv_heads * c.head_dim
+    layer = {"attn.wq": (q, d), "attn.wk": (kv, d), "attn.wv": (kv, d),
+             "attn.wo": (d, q), "mlp.gate": (h, d), "mlp.up": (h, d),
+             "mlp.down": (d, h), "norm_attn": (d,), "norm_mlp": (d,)}
+    if c.qk_norm:
+        layer["attn.q_norm"] = layer["attn.k_norm"] = (c.head_dim,)
+    shapes = {f"layers.{i}.{name}": shape for i in range(c.n_layers)
+              for name, shape in layer.items()}
+    shapes.update(embedding=(c.vocab, d), final_norm=(d,), lm_head=(c.vocab, d))
+    return shapes
 
 
 @dataclass
@@ -101,31 +115,13 @@ class TeacherCheckpoint:
         c = self.config
         if len(self.layers) != c.n_layers:
             raise ValueError(f"expected {c.n_layers} layers, got {len(self.layers)}")
-        shapes = {
-            "wq": (c.n_q_heads * c.head_dim, c.d_model),
-            "wk": (c.n_kv_heads * c.head_dim, c.d_model),
-            "wv": (c.n_kv_heads * c.head_dim, c.d_model),
-            "wo": (c.d_model, c.n_q_heads * c.head_dim),
-            "mlp_gate": (c.mlp_hidden, c.d_model),
-            "mlp_up": (c.mlp_hidden, c.d_model),
-            "mlp_down": (c.d_model, c.mlp_hidden),
-            "norm_attn": (c.d_model,),
-            "norm_mlp": (c.d_model,),
-        }
-        for i, ly in enumerate(self.layers):
-            for name, want in shapes.items():
-                got = getattr(ly, name).shape
-                if got != want:
-                    raise ValueError(f"layer {i} {name}: shape {got}, expected {want}")
-            if c.qk_norm and (ly.q_norm is None or ly.k_norm is None):
-                raise ValueError(f"layer {i}: config.qk_norm set but q/k norms missing")
-        if self.embedding.shape != (c.vocab, c.d_model):
-            raise ValueError("embedding shape mismatch")
-        if self.lm_head.shape != (c.vocab, c.d_model):
-            raise ValueError("lm_head shape mismatch")
-        if self.final_norm.shape != (c.d_model,):
-            raise ValueError("final_norm shape mismatch")
-        for name, t in self.named_tensors().items():
+        tensors = self.named_tensors()
+        for name, want in teacher_shapes(c).items():
+            if tensors.get(name) is None:
+                raise ValueError(f"tensor {name} missing")
+            if tensors[name].shape != want:
+                raise ValueError(f"{name}: shape {tensors[name].shape}, expected {want}")
+        for name, t in tensors.items():
             if not np.all(np.isfinite(t)):
                 raise ValueError(f"tensor {name} has non-finite values")
 
@@ -170,19 +166,15 @@ def save_teacher(ckpt: TeacherCheckpoint, path) -> None:
     write_container(path, ckpt.named_tensors(), meta)
 
 
-def _teacher_names(meta: dict | None) -> set | None:
-    """Every tensor name the teacher checkpoint described by `meta` holds."""
+def _teacher_shapes(meta: dict | None) -> dict | None:
+    """Name -> shape of every tensor the teacher described by `meta` holds."""
     if meta is None or meta.get("kind") != "teacher":
         return None
-    c = TransformerConfig.from_dict(meta["config"])
-    per_layer = [name for f, name in _LAYER_TENSORS.items()
-                 if c.qk_norm or f not in _QK_NORM_FIELDS]
-    return {f"layers.{i}.{name}" for i in range(c.n_layers)
-            for name in per_layer} | {"embedding", "final_norm", "lm_head"}
+    return teacher_shapes(TransformerConfig.from_dict(meta["config"]))
 
 
 def load_teacher(path) -> TeacherCheckpoint:
-    tensors, meta = read_container(path, expected=_teacher_names)
+    tensors, meta = read_container(path, expected=_teacher_shapes)
     if meta is None or meta.get("kind") != "teacher":
         raise ValueError(f"{path} is not a teacher checkpoint")
     c = TransformerConfig.from_dict(meta["config"])

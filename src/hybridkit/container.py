@@ -55,10 +55,11 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
 def read_container(path, expected=None):
     """Read back (tensors, meta). Tensors come out float64 on the f32 grid.
 
-    `expected` is a set of tensor names, or a function of the metadata that
-    returns one (None to skip the check). A missing expected name raises
-    ContainerError naming it and the file; unexpected names load anyway but
-    are reported as warnings.
+    `expected` maps each tensor name the file must hold to its shape, or is
+    a function of the metadata that returns such a map (None to skip the
+    check). A missing name or a wrong shape raises ContainerError naming the
+    tensor and the file; unexpected names load anyway but are reported as
+    warnings.
     """
     with open(path, "rb") as f:
         prefix = f.read(HEADER_PREFIX_BYTES)
@@ -115,6 +116,10 @@ def read_container(path, expected=None):
         missing = sorted(set(expected) - set(tensors))
         if missing:
             raise ContainerError(f"{path}: missing tensor {', '.join(missing)}")
+        for name, shape in expected.items():
+            if tensors[name].shape != tuple(shape):
+                raise ContainerError(f"{path}: tensor {name} has shape "
+                                     f"{tensors[name].shape}, expected {tuple(shape)}")
         extras = sorted(set(tensors) - set(expected))
         if extras:
             warnings.warn(f"container has unknown extra tensors: {extras}")

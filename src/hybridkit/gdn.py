@@ -93,6 +93,16 @@ class GdnBlockWeights:
             "w_q", "w_k", "w_v", "w_g", "w_o", "w_alpha", "w_beta",
             "a_log", "dt_bias", "conv_q", "conv_k", "conv_v", "o_norm")}
 
+    @staticmethod
+    def shapes(cfg: GdnConfig) -> dict:
+        """Field -> shape, as in the field comments."""
+        d, d_k, d_v, H = cfg.d, cfg.d_k, cfg.d_v, cfg.n_heads
+        return {"w_q": (d_k, d), "w_k": (d_k, d), "w_v": (d_v, d), "w_g": (d_v, d),
+                "w_o": (d, d_v), "w_alpha": (H, d), "w_beta": (H, d),
+                "a_log": (H,), "dt_bias": (H,), "conv_q": (d_k, CONV_WIDTH),
+                "conv_k": (d_k, CONV_WIDTH), "conv_v": (d_v, CONV_WIDTH),
+                "o_norm": (cfg.head_v,)}
+
 
 @dataclass
 class GdnState:
@@ -194,9 +204,9 @@ def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int, tape: list | None = Non
 
         if tape is not None:
             tape.append(dict(qc=qc, kc=kc, vc=vc, bc=bc, b=b, eb=eb, tail=tail,
-                             strict=strict, incl=incl, decay_strict=decay_strict,
-                             decay_incl=decay_incl, kk=kk, qk=qk, A=A, u=u,
-                             ks=ks, qs=qs, s_in=s, span=(c0, c1)))
+                             decay_strict=decay_strict, decay_incl=decay_incl,
+                             kk=kk, qk=qk, A=A, u=u, ks=ks, qs=qs, s_in=s,
+                             span=(c0, c1)))
         s = np.exp(b[:, -1])[:, None, None] * s + np.matmul(
             (kc * tail[:, :, None]).transpose(0, 2, 1), u)
     return o, s
@@ -278,7 +288,7 @@ def delta_rule_chunked_backward(tape: list, do):
         dg[c0:c1] = dg_c.T
         dbeta[c0:c1] = dbeta_c.T
         ds = ds_in
-    return dq, dk_out, dv_out, dg, dbeta, ds
+    return dq, dk_out, dv_out, dg, dbeta
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +428,7 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
         do_head.transpose(1, 0, 2, 3)).reshape(T, B * H, hv)
 
     g, beta = tape["g"], tape["beta"]
-    dq, dk, dv, dg, dbeta = delta_rule_chunked_backward(tape["core"], do_core)[:5]
+    dq, dk, dv, dg, dbeta = delta_rule_chunked_backward(tape["core"], do_core)
     dq = l2norm_backward(tape["q_pre"], dq)
     dk = l2norm_backward(tape["k_pre"], dk)
 

@@ -17,12 +17,12 @@ memory technique eliminates.
 """
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .accounting import record_alloc
-from .checkpoint import TeacherCheckpoint, TransformerConfig
+from .checkpoint import TeacherCheckpoint, TransformerConfig, teacher_shapes
 from .container import read_container, write_container
 from .gdn import (GdnBlockWeights, GdnConfig, GdnState, gdn_backward,
                   gdn_forward_chunked, gdn_forward_sequential,
@@ -405,44 +405,51 @@ def save_hybrid(model: HybridModel, path) -> None:
 _MLP_NORM_TENSORS = ("mlp.gate", "mlp.up", "mlp.down", "norm_attn", "norm_mlp")
 
 
-def _mixer_fields(kind: str, mla_cfg: MlaConfig | None) -> list:
+def _hybrid_configs(meta: dict):
+    return (TransformerConfig.from_dict(meta["config"]),
+            HybridLayout.from_dict(meta["layout"]),
+            MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None,
+            GdnConfig.from_dict(meta["gdn_cfg"]) if meta.get("gdn_cfg") else None)
+
+
+def _mixer_shapes(kind: str, d: int, mla_cfg: MlaConfig | None,
+                  gdn_cfg: GdnConfig | None) -> dict:
     if kind == "gdn":
-        return [f.name for f in fields(GdnBlockWeights)]
+        if gdn_cfg is None:
+            raise ValueError("hybrid checkpoint has gated-delta layers but no gdn_cfg")
+        return GdnBlockWeights.shapes(gdn_cfg)
     if mla_cfg is None:
         raise ValueError("hybrid checkpoint has latent-attention layers but no mla_cfg")
-    return [f.name for f in fields(MlaBlockWeights)
-            if f.name != "w_gate" or mla_cfg.gate_mode]
+    return MlaBlockWeights.shapes(mla_cfg, d)
 
 
-def _hybrid_names(meta: dict | None) -> set | None:
+def _hybrid_shapes(meta: dict | None) -> dict | None:
+    """Name -> shape of every tensor the hybrid described by `meta` holds:
+    the teacher's tensors except attention, plus each layer's mixer."""
     if meta is None or meta.get("kind") != "hybrid":
         return None
-    n_layers = TransformerConfig.from_dict(meta["config"]).n_layers
-    layout = HybridLayout.from_dict(meta["layout"])
-    mla_cfg = MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None
-    names = {"embedding", "final_norm", "lm_head"}
-    for i in range(n_layers):
+    cfg, layout, mla_cfg, gdn_cfg = _hybrid_configs(meta)
+    shapes = {name: shape for name, shape in teacher_shapes(cfg).items()
+              if ".attn." not in name}
+    for i in range(cfg.n_layers):
         kind = layout.kind(i)
-        names |= {f"{kind}.{i}.{f}" for f in _mixer_fields(kind, mla_cfg)}
-        names |= {f"layers.{i}.{name}" for name in _MLP_NORM_TENSORS}
-    return names
+        for f, shape in _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg).items():
+            shapes[f"{kind}.{i}.{f}"] = shape
+    return shapes
 
 
 def load_hybrid(path) -> HybridModel:
-    tensors, meta = read_container(path, expected=_hybrid_names)
+    tensors, meta = read_container(path, expected=_hybrid_shapes)
     if meta is None or meta.get("kind") != "hybrid":
         raise ValueError(f"{path} is not a hybrid checkpoint")
-    cfg = TransformerConfig.from_dict(meta["config"])
-    layout = HybridLayout.from_dict(meta["layout"])
-    mla_cfg = MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None
-    gdn_cfg = GdnConfig.from_dict(meta["gdn_cfg"]) if meta.get("gdn_cfg") else None
+    cfg, layout, mla_cfg, gdn_cfg = _hybrid_configs(meta)
 
     layers = []
     for i in range(cfg.n_layers):
         kind = layout.kind(i)
         weights = MlaBlockWeights if kind == "mla" else GdnBlockWeights
         mixer = weights(**{f: tensors[f"{kind}.{i}.{f}"]
-                           for f in _mixer_fields(kind, mla_cfg)})
+                           for f in _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg)})
         lp = f"layers.{i}"
         layers.append(HybridLayer(kind, mixer, *(tensors[f"{lp}.{name}"]
                                                  for name in _MLP_NORM_TENSORS)))

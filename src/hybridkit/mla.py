@@ -131,6 +131,19 @@ class MlaBlockWeights:
             out[f"{prefix}.w_gate"] = self.w_gate
         return out
 
+    @staticmethod
+    def shapes(cfg: MlaConfig, d: int) -> dict:
+        """Field -> shape for model width `d`, as in the field comments."""
+        H, r_q, r_kv = cfg.n_heads, cfg.r_q, cfg.r_kv
+        out = {"w_qa": (r_q, d), "norm_q": (r_q,), "w_qb": (H * cfg.d_qk_nope, r_q),
+               "w_qr": (H * cfg.d_qk_rope, r_q), "w_kva": (r_kv, d),
+               "norm_kv": (r_kv,), "w_kb": (H * cfg.d_qk_nope, r_kv),
+               "w_vb": (H * cfg.d_v, r_kv), "w_kr": (cfg.d_qk_rope, d),
+               "w_o": (d, H * cfg.d_v)}
+        if cfg.gate_mode:
+            out["w_gate"] = (d, d)
+        return out
+
 
 @dataclass
 class MlaCache:
@@ -231,7 +244,7 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
         probs = softmax(scores + mask)                  # (B, H, T, S)
         ctx = np.matmul(probs, v_h)                     # (B, H, T, dv)
         ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
-    out = ctx2 @ w.w_o.T
+    out = out_ungated = ctx2 @ w.w_o.T
 
     gate_pre = None
     if cfg.gate_mode:
@@ -243,7 +256,7 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
                     ckv_raw=ckv_raw, ckv=ckv, kn_h=kn_h, v_h=v_h,
                     rope_keys=rope_keys, probs=probs, ctx2=ctx2, cos=cos,
                     sin=sin, gate_pre=gate_pre,
-                    out_ungated=ctx2 @ w.w_o.T if cfg.gate_mode else None)
+                    out_ungated=out_ungated if cfg.gate_mode else None)
     if single:
         return out[0], MlaCache(kv[0], cfg.r_kv)
     return out, None

@@ -51,9 +51,12 @@ def inverse_softplus(y: Array) -> Array:
 
 
 def softmax(x: Array, axis: int = -1) -> Array:
-    m = np.max(x, axis=axis, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Exponentiates and divides in place, so the result is the only
+    x-sized buffer."""
+    e = x - np.max(x, axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.sum(e, axis=axis, keepdims=True)
+    return e
 
 
 def log_softmax(x: Array, axis: int = -1) -> Array:

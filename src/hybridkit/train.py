@@ -1,10 +1,14 @@
 """Two-stage distillation harness, optimizer, gradient audit, and reports.
 
-Stage I trains a pure-block student to match the teacher's per-layer hidden
-states and mixer outputs (intermediate-layer alignment). Stage II fine-tunes
-an assembled hybrid against the teacher's output distribution through one of
-the KL paths; with no teacher it falls back to plain next-token cross-entropy
-through the fused projection. Embeddings and the LM head stay frozen.
+Both stages run one training loop: each step draws and stacks a batch, asks
+the stage's step function for (loss, grads), and applies Adam. The stages
+differ only in that step. Stage I trains a pure-block student to match the
+teacher's per-layer hidden states and mixer outputs (intermediate-layer
+alignment). Stage II fine-tunes an assembled hybrid against the teacher's
+output distribution through one of the KL paths; with no teacher it falls
+back to plain next-token cross-entropy through the fused projection. The
+gradient audit checks that same stage-II step. Embeddings and the LM head
+stay frozen.
 
 All runs are deterministic for a fixed seed. Teacher weights are never
 touched: the teacher side runs forward-only.
@@ -34,14 +38,12 @@ class TrainConfig:
     context_len: int = 2048
     lr: float = 2e-4
     warmup_ratio: float = 0.01
-    schedule: str = "cosine"
     steps: int = 100
     batch: int = 4
     seed: int = 0
     loss_path: str = "naive"
     kl_chunk: int = 4096
     vocab_tile: int = 128
-    train_embeddings: bool = False
     grad_clip: float = 1.0   # global-norm clip; <= 0 disables
     swap_kl: bool = False    # distill with KL(teacher || student)
 
@@ -63,17 +65,19 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     losses: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)  # per step: update not applied
     metrics: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
     peak_transient_elements: int = 0
 
     def step_records(self):
-        for i, loss in enumerate(self.losses):
-            yield {"step": i, "loss": loss}
+        for i, (loss, skipped) in enumerate(zip(self.losses, self.skipped)):
+            yield {"step": i, "loss": loss, "skipped": skipped}
 
     def summary(self) -> dict:
         return {
             "steps": len(self.losses),
+            "skipped_steps": sum(self.skipped),
             "first_loss": self.losses[0] if self.losses else None,
             "final_loss": self.losses[-1] if self.losses else None,
             "metrics": self.metrics,
@@ -85,16 +89,14 @@ class TrainReport:
 class Adam:
     """Adam with cosine decay and linear warmup; updates stay on the f32 grid."""
 
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
     def __init__(self, params: dict, lr: float, total_steps: int,
-                 warmup_ratio: float = 0.01, schedule: str = "cosine",
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 grad_clip: float = 0.0):
+                 warmup_ratio: float = 0.01, grad_clip: float = 0.0):
         self.params = params
         self.lr = lr
         self.total_steps = max(total_steps, 1)
         self.warmup_steps = max(int(round(warmup_ratio * self.total_steps)), 0)
-        self.schedule = schedule
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
@@ -103,23 +105,23 @@ class Adam:
     def lr_at(self, step: int) -> float:
         if self.warmup_steps and step < self.warmup_steps:
             return self.lr * (step + 1) / self.warmup_steps
-        if self.schedule == "constant":
-            return self.lr
         span = max(self.total_steps - self.warmup_steps, 1)
         progress = min((step - self.warmup_steps) / span, 1.0)
         return self.lr * 0.5 * (1.0 + np.cos(np.pi * progress))
 
-    def step(self, grads: dict) -> None:
+    def step(self, grads: dict) -> bool:
+        """Apply one update and return True; on a non-finite global grad
+        norm leave the weights as they are and return False."""
         lr_t = self.lr_at(self.t)
         self.t += 1
         norm_sq = sum(float(np.sum(g * g)) for n, g in grads.items()
                       if n in self.params)
         if not np.isfinite(norm_sq):
-            return  # skip a blown-up step rather than poisoning the weights
+            return False
         scale = 1.0
         if self.grad_clip > 0 and norm_sq > self.grad_clip ** 2:
             scale = self.grad_clip / np.sqrt(norm_sq)
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
@@ -130,15 +132,15 @@ class Adam:
                 g = g * scale
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
             self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            update = (self.m[name] / corr1) / (np.sqrt(self.v[name] / corr2) + self.eps)
+            update = (self.m[name] / corr1) / (np.sqrt(self.v[name] / corr2) + self.EPS)
             p[...] = f32_resolution(p - lr_t * update)
+        return True
 
 
-def trainable_params(model: HybridModel, train_embeddings: bool) -> dict:
+def trainable_params(model: HybridModel) -> dict:
     params = model.named_tensors()
-    if not train_embeddings:
-        for name in FROZEN:
-            params.pop(name)
+    for name in FROZEN:
+        params.pop(name)
     return params
 
 
@@ -156,15 +158,6 @@ def _clip(tokens: np.ndarray, context_len: int) -> np.ndarray:
     return tokens[:context_len] if tokens.size > context_len else tokens
 
 
-def _draw_batch(data, rng, batch: int) -> list:
-    """Sample a batch from a list, or draw fresh examples from a generator
-    callable(rng) -> TrainExample."""
-    if callable(data):
-        return [data(rng) for _ in range(batch)]
-    idx = rng.integers(0, len(data), size=batch)
-    return [data[i] for i in idx]
-
-
 def _stack_batch(batch: list, context_len: int):
     """Clip to the context length and the batch's shortest sequence, then
     stack tokens (B, T) and next-token loss masks (B, T-1)."""
@@ -180,6 +173,38 @@ def _stack_batch(batch: list, context_len: int):
     return tokens, masks
 
 
+def _train(student: HybridModel, data: list, cfg: TrainConfig, step) -> TrainReport:
+    """The training loop of both stages. Each step samples `cfg.batch`
+    examples from `data`, calls `step(tokens, masks) -> (loss, grads)` and
+    applies Adam to every tensor outside FROZEN."""
+    rng = np.random.default_rng(cfg.seed)
+    opt = Adam(trainable_params(student), cfg.lr, cfg.steps, cfg.warmup_ratio,
+               grad_clip=cfg.grad_clip)
+    report = TrainReport()
+    t0 = time.perf_counter()
+    with track_allocations() as tracker:
+        for _ in range(cfg.steps):
+            idx = rng.integers(0, len(data), size=cfg.batch)
+            tokens, masks = _stack_batch([data[i] for i in idx], cfg.context_len)
+            loss, grads = step(tokens, masks)
+            report.losses.append(float(loss))
+            report.skipped.append(not opt.step(grads))
+    report.peak_transient_elements = tracker.peak_elements
+    report.wall_clock_s = time.perf_counter() - t0
+    return report
+
+
+def _ild_loss(student: HybridModel, teacher, tokens):
+    """Stage-I alignment loss and grads for a stacked batch."""
+    t_trace = _teacher_outputs(teacher, tokens, want_logits=False, want_trace=True)
+    tapes: list = []
+    s_trace = hybrid_forward(student, tokens, want_logits=False, want_trace=True,
+                             tapes=tapes)
+    value, dh_list, da_list = ild_grads(s_trace, t_trace)
+    return value, hybrid_backward(student, tapes, d_final=None,
+                                  dh_layers=dh_list, da_layers=da_list)
+
+
 def train_stage1_ild(student: HybridModel, teacher, data: list,
                      cfg: TrainConfig) -> TrainReport:
     """Align student per-layer hidden states and mixer outputs to the teacher."""
@@ -187,65 +212,41 @@ def train_stage1_ild(student: HybridModel, teacher, data: list,
                         else len(teacher.layers))
     if len(student.layers) != n_teacher_layers:
         raise ValueError("student and teacher must have equal layer counts")
-    rng = np.random.default_rng(cfg.seed)
-    params = trainable_params(student, cfg.train_embeddings)
-    opt = Adam(params, cfg.lr, cfg.steps, cfg.warmup_ratio, cfg.schedule,
-               grad_clip=cfg.grad_clip)
-    report = TrainReport()
-    t0 = time.perf_counter()
-
-    with track_allocations() as tracker:
-        for _ in range(cfg.steps):
-            tokens, _ = _stack_batch(_draw_batch(data, rng, cfg.batch),
-                                     cfg.context_len)
-            t_trace = _teacher_outputs(teacher, tokens, want_logits=False,
-                                       want_trace=True)
-            tapes: list = []
-            s_trace = hybrid_forward(student, tokens, want_logits=False,
-                                     want_trace=True, tapes=tapes)
-            value, dh_list, da_list = ild_grads(s_trace, t_trace)
-            grads = hybrid_backward(student, tapes, d_final=None,
-                                    dh_layers=dh_list, da_layers=da_list)
-            report.losses.append(float(value))
-            opt.step(grads)
-    report.peak_transient_elements = tracker.peak_elements
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    return _train(student, data, cfg,
+                  lambda tokens, _masks: _ild_loss(student, teacher, tokens))
 
 
-def _kd_loss_and_dfinal(student: HybridModel, s_trace, teacher, tokens,
-                        cfg: TrainConfig):
-    """Batch distillation loss (token mean) and the gradient wrt the
-    student's normed final hidden state, via the selected path."""
+def _stage2_loss(student: HybridModel, teacher, tokens, masks, cfg: TrainConfig):
+    """Stage-II loss (token mean) and grads for a stacked batch: KL to the
+    teacher through `cfg.loss_path`, or with no teacher next-token
+    cross-entropy through the fused projection at the `masks` positions."""
     loss_cfg = cfg.loss_cfg()
-    final = s_trace.final_hidden
-    lead = final.shape[:-1]
-    if cfg.loss_path == "hidden":
-        t_out = _teacher_outputs(teacher, tokens, want_logits=False)
+    hidden = cfg.loss_path == "hidden"
+    tapes: list = []
+    s_trace = hybrid_forward(student, tokens, tapes=tapes,
+                             want_logits=teacher is not None and not hidden)
+    final = s_trace.final_hidden                        # (B, T, d)
+    if teacher is None:
+        value, d_final = 0.0, np.zeros_like(final)
+        targets = tokens[:, 1:][masks]
+        if targets.size:
+            out = fused_linear_ce(final[:, :-1][masks], student.lm_head, targets,
+                                  loss_cfg)
+            value = out.value
+            d_final[:, :-1][masks] = out.grad
+    elif hidden:
+        t_final = _teacher_outputs(teacher, tokens, want_logits=False).final_hidden
         out = kl_hidden(final.reshape(-1, final.shape[-1]), student.lm_head,
-                        t_out.final_hidden.reshape(-1, teacher.lm_head.shape[1]),
-                        teacher.lm_head, loss_cfg)
-        return out.value, out.grad.reshape(final.shape)
-    t_out = _teacher_outputs(teacher, tokens, want_logits=True)
-    path = {"naive": kl_naive, "chunked": kl_chunked, "online": kl_online}[cfg.loss_path]
-    V = student.config.vocab
-    out = path(s_trace.logits.reshape(-1, V), t_out.logits.reshape(-1, V), loss_cfg)
-    return out.value, (out.grad @ student.lm_head).reshape(lead + (-1,))
-
-
-def _ce_loss_and_dfinal(student: HybridModel, s_trace, tokens, loss_mask,
-                        cfg: TrainConfig):
-    """Next-token cross-entropy through the fused projection, restricted to
-    `loss_mask` positions; token mean over the scored positions."""
-    final = s_trace.final_hidden          # (B, T, d) or (T, d)
-    h = final[..., :-1, :][loss_mask]
-    targets = tokens[..., 1:][loss_mask]
-    if targets.size == 0:
-        return 0.0, np.zeros_like(final)
-    out = fused_linear_ce(h, student.lm_head, targets, cfg.loss_cfg())
-    d_final = np.zeros_like(final)
-    d_final[..., :-1, :][loss_mask] = out.grad
-    return out.value, d_final
+                        t_final.reshape(-1, t_final.shape[-1]), teacher.lm_head,
+                        loss_cfg)
+        value, d_final = out.value, out.grad.reshape(final.shape)
+    else:
+        t_logits = _teacher_outputs(teacher, tokens, want_logits=True).logits
+        path = {"naive": kl_naive, "chunked": kl_chunked, "online": kl_online}[cfg.loss_path]
+        V = student.config.vocab
+        out = path(s_trace.logits.reshape(-1, V), t_logits.reshape(-1, V), loss_cfg)
+        value, d_final = out.value, (out.grad @ student.lm_head).reshape(final.shape)
+    return value, hybrid_backward(student, tapes, d_final=d_final)
 
 
 def train_stage2_sft(student: HybridModel, teacher, data: list,
@@ -256,33 +257,9 @@ def train_stage2_sft(student: HybridModel, teacher, data: list,
         t_vocab = (teacher.config.vocab if hasattr(teacher, "config") else None)
         if t_vocab != student.config.vocab:
             raise ValueError("student and teacher vocabularies differ")
-    rng = np.random.default_rng(cfg.seed)
-    params = trainable_params(student, cfg.train_embeddings)
-    opt = Adam(params, cfg.lr, cfg.steps, cfg.warmup_ratio, cfg.schedule,
-               grad_clip=cfg.grad_clip)
-    report = TrainReport()
-    t0 = time.perf_counter()
-    want_logits = teacher is not None and cfg.loss_path != "hidden"
-
-    with track_allocations() as tracker:
-        for _ in range(cfg.steps):
-            tokens, masks = _stack_batch(_draw_batch(data, rng, cfg.batch),
-                                         cfg.context_len)
-            tapes: list = []
-            s_trace = hybrid_forward(student, tokens, want_logits=want_logits,
-                                     tapes=tapes)
-            if teacher is not None:
-                value, d_final = _kd_loss_and_dfinal(student, s_trace, teacher,
-                                                     tokens, cfg)
-            else:
-                value, d_final = _ce_loss_and_dfinal(student, s_trace, tokens,
-                                                     masks, cfg)
-            grads = hybrid_backward(student, tapes, d_final=d_final)
-            report.losses.append(float(value))
-            opt.step(grads)
-    report.peak_transient_elements = tracker.peak_elements
-    report.wall_clock_s = time.perf_counter() - t0
-    return report
+    return _train(student, data, cfg,
+                  lambda tokens, masks: _stage2_loss(student, teacher, tokens,
+                                                     masks, cfg))
 
 
 def argmax_agreement(student: HybridModel, teacher, data: list,
@@ -301,27 +278,10 @@ def argmax_agreement(student: HybridModel, teacher, data: list,
 
 def audit_distillation(student: HybridModel, teacher, example,
                        cfg: TrainConfig, n_probes: int, seed: int = 0) -> float:
-    """Gradient-audit residual of the configured training loss on one example."""
-    tokens = _clip(example.tokens, cfg.context_len)
-    params = trainable_params(student, cfg.train_embeddings)
-    want_logits = teacher is not None and cfg.loss_path != "hidden"
-
-    def loss_fn():
-        tapes: list = []
-        s_trace = hybrid_forward(student, tokens, want_logits=want_logits,
-                                 tapes=tapes)
-        if teacher is not None:
-            value, d_final = _kd_loss_and_dfinal(student, s_trace, teacher,
-                                                 tokens, cfg)
-        else:
-            mask = example.loss_mask
-            if mask is not None and tokens.size < example.tokens.size:
-                mask = mask[: tokens.size - 1]
-            value, d_final = _ce_loss_and_dfinal(student, s_trace, tokens,
-                                                 mask, cfg)
-        return value, hybrid_backward(student, tapes, d_final=d_final)
-
-    return grad_audit(loss_fn, params, n_probes, seed=seed)
+    """Gradient-audit residual of the stage-II training loss on one example."""
+    tokens, masks = _stack_batch([example], cfg.context_len)
+    return grad_audit(lambda: _stage2_loss(student, teacher, tokens, masks, cfg),
+                      trainable_params(student), n_probes, seed=seed)
 
 
 def grad_audit(loss_fn, params: dict, n_params: int, seed: int = 0,

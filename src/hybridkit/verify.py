@@ -7,11 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gdn import gdn_forward_chunked, gdn_forward_sequential
-from .hybrid import HybridModel, hybrid_backward, hybrid_forward
+from .hybrid import HybridModel
 from .losses import LossConfig, kl_chunked, kl_hidden, kl_naive, kl_online
 from .numerics import repeat_kv, svd
-from .teacher import teacher_forward
-from .train import grad_audit
+from .synthetic import TrainExample
+from .train import TrainConfig, audit_distillation
 
 
 @dataclass
@@ -88,19 +88,9 @@ def _kl_agreement(seed: int) -> CheckResult:
 
 def _kd_grad_audit(hybrid: HybridModel, teacher, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    tokens = rng.integers(0, hybrid.config.vocab, size=16)
-    t_logits = teacher_forward(teacher, tokens).logits
-
-    def loss_fn():
-        tapes: list = []
-        s = hybrid_forward(hybrid, tokens, want_logits=True, tapes=tapes)
-        out = kl_naive(s.logits, t_logits)
-        grads = hybrid_backward(hybrid, tapes, out.grad @ hybrid.lm_head)
-        return out.value, grads
-
-    params = {k: v for k, v in hybrid.named_tensors().items()
-              if k not in ("embedding", "lm_head")}
-    err = grad_audit(loss_fn, params, n_params=16, seed=seed)
+    example = TrainExample(rng.integers(0, hybrid.config.vocab, size=16))
+    err = audit_distillation(hybrid, teacher, example, TrainConfig(stage=2),
+                             n_probes=16, seed=seed)
     return CheckResult("gradient audit (hybrid through KD)", err < 1e-2,
                        f"max rel err {err:.2e} (< 1e-2)")
 

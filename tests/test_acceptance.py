@@ -4,20 +4,24 @@ Run as `pytest tests/test_acceptance.py -v -s`. Criterion 10 is the
 end-to-end desk training run and dominates the runtime.
 """
 
+import contextlib
+import io
+import json
 import time
 
 import numpy as np
 import pytest
 
 from hybridkit.accounting import track_allocations
-from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
+from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher, load_teacher
+from hybridkit.cli import main
 from hybridkit.gdn import (GdnConfig, gdn_forward_chunked,
                            gdn_forward_sequential, gdn_param_count,
                            init_gdn_from_teacher)
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
                               format_gb, hybrid_backward, hybrid_forward,
-                              kv_cache_report, memory_plan)
+                              kv_cache_report, load_hybrid, memory_plan)
 from hybridkit.losses import (LossConfig, fused_linear_ce, kl_chunked,
                               kl_hidden, kl_naive, kl_online)
 from hybridkit.mla import MlaConfig, default_mla_config, init_mla_from_teacher
@@ -288,3 +292,78 @@ def test_criterion_09_decode_consistency():
     ok = diff < 1e-5 and budget_ok and dt < 60
     report(9, ok, f"prefill+64-step decode vs one-shot max abs diff {diff:.2e}; "
                   f"cache stores exactly {mla_cfg.cache_per_token} elems/token; {dt:.1f}s")
+
+
+def _desk_run(d, seed: int) -> dict:
+    """gen-teacher -> convert -> stage 1 on the gated-delta model -> assemble
+    -> stage 2 with hidden-state KL, all through the CLI in directory `d`."""
+    d.mkdir()
+    (d / "teacher.json").write_text(json.dumps(TOY.to_dict()))
+    (d / "layout.json").write_text(json.dumps({"n_layers": 4, "mla_indices": [1, 3]}))
+    (d / "mla.json").write_text(json.dumps(
+        {"r_q": 16, "r_kv": 8, "d_qk_nope": 4, "d_qk_rope": 4, "d_v": 8, "n_heads": 4}))
+
+    def p(name):
+        return str(d / name)
+
+    train = ["--teacher", p("t.ckpt"), "--context-len", "64", "--batch", "4",
+             "--data-size", "64", "--seed", str(seed), "--data-seed", str(seed)]
+    commands = [
+        ["gen-teacher", "--config", p("teacher.json"), "--seed", str(seed),
+         "--out", p("t.ckpt")],
+        ["convert-mla", "--teacher", p("t.ckpt"), "--mla-config", p("mla.json"),
+         "--out", p("mla.ckpt")],
+        ["convert-gdn", "--teacher", p("t.ckpt"), "--heads", "2", "--out", p("gdn.ckpt")],
+        ["assemble", "--mla", p("mla.ckpt"), "--gdn", p("gdn.ckpt"),
+         "--layout", p("layout.json"), "--out", p("raw.ckpt")],
+        ["train", "--stage", "1", "--student", p("gdn.ckpt"), "--steps", "20",
+         "--lr", "6e-3", "--out", p("gdn1.ckpt"), "--report", p("s1.jsonl"), *train],
+        ["assemble", "--mla", p("mla.ckpt"), "--gdn", p("gdn1.ckpt"),
+         "--layout", p("layout.json"), "--out", p("hybrid.ckpt")],
+        ["train", "--stage", "2", "--student", p("hybrid.ckpt"), "--steps", "40",
+         "--lr", "2e-3", "--loss-path", "hidden", "--out", p("kd.ckpt"),
+         "--report", p("s2.jsonl"), *train],
+    ]
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0, argv
+    reports = {}
+    for stage in ("s1", "s2"):
+        lines = [json.loads(line)
+                 for line in (d / f"{stage}.jsonl").read_text().splitlines()]
+        reports[stage] = (lines[:-1], lines[-1]["summary"])
+    return reports
+
+
+def test_criterion_10_desk_training_run(tmp_path):
+    t0 = time.time()
+    seed = 0
+    run, rerun = _desk_run(tmp_path / "a", seed), _desk_run(tmp_path / "b", seed)
+    s1 = [r["loss"] for r in run["s1"][0]]
+    s1_falls = np.mean(s1[-5:]) < np.mean(s1[:5])
+    same_series = all(run[s][0] == rerun[s][0] for s in ("s1", "s2"))
+    no_skips = all(run[s][1]["skipped_steps"] == 0 for s in ("s1", "s2"))
+
+    # Held-out sequences: the same bigram language, past the 64 trained on.
+    held = gen_ngram_corpus(TOY.vocab, 64 + 16, 64, seed=seed)[64:]
+    teacher = load_teacher(tmp_path / "a" / "t.ckpt")
+    t_logits = [teacher_forward(teacher, ex.tokens).logits for ex in held]
+
+    def held_out(name):
+        model = load_hybrid(tmp_path / "a" / name)
+        s_logits = [hybrid_forward(model, ex.tokens).logits for ex in held]
+        kl = np.mean([kl_naive(s, t).value for s, t in zip(s_logits, t_logits)])
+        agree = np.mean([np.mean(s.argmax(-1) == t.argmax(-1))
+                         for s, t in zip(s_logits, t_logits)])
+        return kl, agree
+
+    (kl_raw, ag_raw), (kl_kd, ag_kd) = held_out("raw.ckpt"), held_out("kd.ckpt")
+    drop = 1.0 - kl_kd / kl_raw
+    dt = time.time() - t0
+    ok = s1_falls and same_series and no_skips and drop >= 0.2 and dt < 90
+    report(10, ok, f"stage-1 loss {np.mean(s1[:5]):.1f} -> {np.mean(s1[-5:]):.1f} "
+                   f"(mean of first/last 5 steps); held-out KL {kl_raw:.3f} -> "
+                   f"{kl_kd:.3f} ({drop:.0%} lower, >= 20%); argmax agreement "
+                   f"{ag_raw:.1%} -> {ag_kd:.1%} (not gated); identical loss series "
+                   f"over two runs {same_series}; no skipped steps {no_skips}; "
+                   f"{dt:.1f}s (< 90s) for two runs")

@@ -64,6 +64,14 @@ class TestPipeline:
         lines = [json.loads(line) for line in report.read_text().splitlines()]
         assert len(lines) == 4 and "summary" in lines[-1]
 
+    def test_train_stage2_audit_without_teacher(self, workdir, capsys):
+        rc = main(["train", "--stage", "2", "--student", str(workdir / "hybrid.ckpt"),
+                   "--steps", "1", "--batch", "2", "--context-len", "32",
+                   "--data-size", "4", "--audit-probes", "4", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert np.isfinite(doc["metrics"]["grad_audit_max_rel_err"])
+
     def test_eval_niah_runs(self, workdir, capsys):
         rc = main(["eval-niah", "--model", str(workdir / "hybrid.ckpt"),
                    "--haystack-len", "24", "--items", "4", "--json"])
@@ -150,3 +158,13 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "layers.1.attn.wv" in err and "t.ckpt" in err
+
+    def test_wrong_shape_hybrid_tensor_exits_one(self, workdir, tmp_path, capsys):
+        tensors, meta = read_container(workdir / "hybrid.ckpt")
+        tensors["mla.1.w_kb"] = tensors["mla.1.w_kb"][:, :-1]
+        write_container(tmp_path / "h.ckpt", tensors, meta)
+        rc = main(["eval-niah", "--model", str(tmp_path / "h.ckpt"),
+                   "--haystack-len", "24", "--items", "4"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "mla.1.w_kb" in err and "h.ckpt" in err and "(16, 7)" in err

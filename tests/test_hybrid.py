@@ -281,6 +281,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"h\.ckpt.*mla\.1\.w_kb"):
             load_hybrid(path)
 
+    def test_wrong_shape_named(self, hybrid, tmp_path):
+        path = tmp_path / "h.ckpt"
+        save_hybrid(hybrid, path)
+        tensors, meta = read_container(path)
+        tensors["mla.1.w_kb"] = tensors["mla.1.w_kb"][:, :-1]
+        write_container(path, tensors, meta)
+        with pytest.raises(ValueError,
+                           match=r"h\.ckpt.*mla\.1\.w_kb.*\(16, 7\).*\(16, 8\)"):
+            load_hybrid(path)
+
     def test_extra_tensor_warns_and_loads(self, hybrid, tmp_path):
         path = tmp_path / "h.ckpt"
         save_hybrid(hybrid, path)

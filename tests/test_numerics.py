@@ -45,7 +45,9 @@ class TestActivations:
 
     def test_softmax_matches_oracle(self, rng):
         x = rng.normal(size=12)
+        before = x.copy()
         assert np.allclose(nm.softmax(x), softmax_oracle(x), atol=1e-12)
+        assert np.array_equal(x, before)
 
     def test_softmax_sums_to_one_and_shift_invariant(self, rng):
         for seed in range(10):

@@ -131,6 +131,16 @@ class TestStage2:
                         if e.tag.endswith("logits")]
         assert all(n < T * V for n in logit_allocs)
 
+    def test_nonfinite_weight_skips_and_counts_every_step(self, pure_models, data):
+        student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
+        student.layers[0].mixer.w_o[0, 0] = np.nan
+        cfg = TrainConfig(stage=2, context_len=48, lr=1e-3, steps=3, batch=2, seed=0)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rep = train_stage2_sft(student, None, data, cfg)
+        assert rep.skipped == [True, True, True]
+        assert rep.summary()["skipped_steps"] == 3
+        assert [r["skipped"] for r in rep.step_records()] == [True] * 3
+
     def test_vocab_mismatch_rejected(self, pure_models, data):
         from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 
@@ -162,8 +172,9 @@ class TestAdam:
         w = np.ones((2, 2))
         p = {"w": w}
         opt = Adam(p, lr=1e-2, total_steps=10)
-        opt.step({"w": np.full((2, 2), np.nan)})
+        assert opt.step({"w": np.full((2, 2), np.nan)}) is False
         assert np.array_equal(p["w"], np.ones((2, 2)))
+        assert opt.step({"w": np.ones((2, 2))}) is True
 
     def test_global_norm_clip(self):
         p = {"w": np.zeros(2)}
