@@ -164,13 +164,12 @@ def cmd_mem_plan(args):
     return 0
 
 
-def _train_data(args, vocab: int):
+def _train_data(args, vocab: int, n: int):
     if args.data == "ngram":
-        return gen_ngram_corpus(vocab, args.data_size, args.context_len,
-                                seed=args.data_seed)
+        return gen_ngram_corpus(vocab, n, args.context_len, seed=args.data_seed)
     if args.data == "niah":
         ds = niah_generate(args.context_len - 3, args.needles, seed=args.data_seed,
-                           vocab=vocab, n_items=args.data_size)
+                           vocab=vocab, n_items=n)
         return niah_train_examples(ds)
     raise CliError(f"unknown --data kind {args.data!r}")
 
@@ -182,7 +181,10 @@ def cmd_train(args):
                       vocab_tile=args.vocab_tile, swap_kl=args.swap_kl)
     student = _open_hybrid(args.student, "--student")
     teacher = _open_teacher(args.teacher) if args.teacher else None
-    data = _train_data(args, student.config.vocab)
+    # argmax_agreement scores 4 held-out examples drawn after the training
+    # ones; both generators draw in turn, so the training data is unchanged.
+    data = _train_data(args, student.config.vocab, args.data_size + 4)
+    data, held_out = data[:-4], data[-4:]
 
     if args.stage == 1:
         if teacher is None:
@@ -192,7 +194,7 @@ def cmd_train(args):
         report = train_stage2_sft(student, teacher, data, cfg)
         if teacher is not None:
             report.metrics["argmax_agreement"] = argmax_agreement(
-                student, teacher, data[: min(4, len(data))], cfg.context_len)
+                student, teacher, held_out, cfg.context_len)
         if args.audit_probes > 0:
             report.metrics["grad_audit_max_rel_err"] = audit_distillation(
                 student, teacher, data[0], cfg, args.audit_probes)

@@ -10,7 +10,8 @@ Per head the query/key are [nope; RoPE(rope)] with the rope key shared across
 heads, and standard causal attention runs at scale 1/sqrt(d_nope + d_rope).
 The cache holds one row of r_kv + d_rope elements per token,
 [Norm(c^KV) | RoPE(k^rope)], normalized once when the token is appended.
-Prefill and training expand per-head keys/values from it. A single new token
+Prefill and training expand per-head keys [k^nope | k^rope] and values from
+it and run `numerics.causal_attention`, as the teacher's GQA does. A decode step
 attends in latent space instead (weight absorption, DeepSeek-V2 §2.1): its
 query becomes [W_kb[h]^T q^nope[h] | q^rope[h]], scores are one product with
 the cached rows, and W_vb[h] maps the attended latent back to head h's value.
@@ -28,8 +29,8 @@ import numpy as np
 
 from .accounting import record_alloc
 from .checkpoint import TeacherLayer, TransformerConfig
-from .numerics import (apply_rope, apply_rope_backward, f32_resolution,
-                       repeat_kv, rmsnorm, rmsnorm_backward, rope_inv_freq,
+from .numerics import (apply_rope, apply_rope_backward, causal_attention,
+                       f32_resolution, repeat_kv, rmsnorm, rmsnorm_backward,
                        rope_tables, sigmoid, softmax, svd, yarn_inv_freq,
                        yarn_mscale)
 
@@ -169,11 +170,8 @@ class MlaCache:
 
 
 def _mla_rope_tables(cfg: MlaConfig, positions: np.ndarray):
-    if cfg.yarn_factor > 1.0:
-        inv_freq = yarn_inv_freq(cfg.d_qk_rope, cfg.rope_theta, cfg.yarn_factor,
-                                 cfg.orig_context)
-    else:
-        inv_freq = rope_inv_freq(cfg.d_qk_rope, cfg.rope_theta)
+    inv_freq = yarn_inv_freq(cfg.d_qk_rope, cfg.rope_theta, cfg.yarn_factor,
+                             cfg.orig_context)
     return rope_tables(inv_freq, positions, yarn_mscale(cfg.yarn_factor))
 
 
@@ -231,18 +229,13 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
         ctx = np.matmul(w.w_vb.reshape(H, dv, -1), ctx_lat[:, :, None])
         ctx2 = ctx.reshape(B, T, H * dv)
     else:
-        # Expanded form: per-head keys/values for every cached token.
+        # Expanded form: per-head keys [k^nope | shared k^rope] and values.
         kn = (ckv @ w.w_kb.T).reshape(B, S, H, dn)
-        v = (ckv @ w.w_vb.T).reshape(B, S, H, dv)
-        mask = np.triu(np.full((T, S), -np.inf), k=1 + n_prior)
-        qn_h = qn.transpose(0, 2, 1, 3)                 # (B, H, T, dn)
-        qr_h = qr.transpose(0, 2, 1, 3)
-        kn_h = kn.transpose(0, 2, 1, 3)                 # (B, H, S, dn)
-        v_h = v.transpose(0, 2, 1, 3)
-        scores = (np.matmul(qn_h, kn_h.transpose(0, 1, 3, 2))
-                  + np.matmul(qr_h, rope_keys[:, None].transpose(0, 1, 3, 2))) * scale
-        probs = softmax(scores + mask)                  # (B, H, T, S)
-        ctx = np.matmul(probs, v_h)                     # (B, H, T, dv)
+        kr = np.broadcast_to(rope_keys[:, :, None], (B, S, H, dr))
+        q_h = np.concatenate([qn, qr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, T, d_qk)
+        k_h = np.concatenate([kn, kr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, S, d_qk)
+        v_h = (ckv @ w.w_vb.T).reshape(B, S, H, dv).transpose(0, 2, 1, 3)
+        ctx, probs = causal_attention(q_h, k_h, v_h, scale, n_prior)  # (B, H, T, dv)
         ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
     out = out_ungated = ctx2 @ w.w_o.T
 
@@ -252,9 +245,8 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
         out = out * sigmoid(gate_pre)
 
     if tape is not None:
-        tape.update(x=xb, cq_raw=cq_raw, cq=cq, qn_h=qn_h, qr_h=qr_h,
-                    ckv_raw=ckv_raw, ckv=ckv, kn_h=kn_h, v_h=v_h,
-                    rope_keys=rope_keys, probs=probs, ctx2=ctx2, cos=cos,
+        tape.update(x=xb, cq_raw=cq_raw, cq=cq, q_h=q_h, ckv_raw=ckv_raw,
+                    ckv=ckv, k_h=k_h, v_h=v_h, probs=probs, ctx2=ctx2, cos=cos,
                     sin=sin, gate_pre=gate_pre,
                     out_ungated=out_ungated if cfg.gate_mode else None)
     if single:
@@ -286,26 +278,22 @@ def mla_backward(w: MlaBlockWeights, cfg: MlaConfig, tape: dict, dout: np.ndarra
     grads["w_o"] = dout_b.reshape(B * T, -1).T @ tape["ctx2"].reshape(B * T, -1)
     dctx = dctx2.reshape(B, T, H, dv).transpose(0, 2, 1, 3)     # (B, H, T, dv)
 
-    qn_h, qr_h, kn_h, v_h = tape["qn_h"], tape["qr_h"], tape["kn_h"], tape["v_h"]
-    rope_keys = tape["rope_keys"]
-    dp = np.matmul(dctx, v_h.transpose(0, 1, 3, 2))             # (B, H, T, S)
+    dp = np.matmul(dctx, tape["v_h"].transpose(0, 1, 3, 2))    # (B, H, T, S)
     dv_h = np.matmul(probs.transpose(0, 1, 3, 2), dctx)         # (B, H, S, dv)
     dscores = probs * (dp - np.sum(dp * probs, axis=-1, keepdims=True))
     draw = dscores * scale
-    dqn_h = np.matmul(draw, kn_h)
-    dkn_h = np.matmul(draw.transpose(0, 1, 3, 2), qn_h)
-    dqr_h = np.matmul(draw, rope_keys[:, None])
-    dkr = np.matmul(draw.transpose(0, 1, 3, 2), qr_h).sum(axis=1)   # (B, S, dr)
+    dq = np.matmul(draw, tape["k_h"]).transpose(0, 2, 1, 3)    # (B, T, H, d_qk)
+    dk = np.matmul(draw.transpose(0, 1, 3, 2), tape["q_h"])    # (B, H, S, d_qk)
+    dqr, dkr = dq[..., dn:], dk[..., dn:].sum(axis=1)           # (B, S, dr)
 
     cos, sin = tape["cos"], tape["sin"]
-    dqr = dqr_h.transpose(0, 2, 1, 3)                           # (B, T, H, dr)
     if not cfg.nope_mode:
         dqr = apply_rope_backward(dqr, cos[:, None, :], sin[:, None, :])
         dkr = apply_rope_backward(dkr, cos, sin)
     grads["w_kr"] = dkr.reshape(B * S, -1).T @ x_flat
     dx += dkr @ w.w_kr
 
-    dkn = dkn_h.transpose(0, 2, 1, 3).reshape(B, S, H * dn)
+    dkn = dk[..., :dn].transpose(0, 2, 1, 3).reshape(B, S, H * dn)
     dv_flat = dv_h.transpose(0, 2, 1, 3).reshape(B, S, H * dv)
     dckv = dv_flat @ w.w_vb + dkn @ w.w_kb
     ckv_flat = tape["ckv"].reshape(B * S, -1)
@@ -316,7 +304,7 @@ def mla_backward(w: MlaBlockWeights, cfg: MlaConfig, tape: dict, dout: np.ndarra
     grads["w_kva"] = dckv_raw.reshape(B * S, -1).T @ x_flat
     dx += dckv_raw @ w.w_kva
 
-    dqn = dqn_h.transpose(0, 2, 1, 3).reshape(B, T, H * dn)
+    dqn = dq[..., :dn].reshape(B, T, H * dn)
     dqr_flat = dqr.reshape(B, T, H * dr)
     dcq = dqr_flat @ w.w_qr + dqn @ w.w_qb
     cq_flat = tape["cq"].reshape(B * T, -1)

@@ -1,5 +1,5 @@
-"""Dense numeric kernels shared by every block: activations, norms, causal
-convolution, truncated SVD, KV-head replication, and rotary embeddings.
+"""Dense numeric kernels shared by every block: activations, causal attention,
+norms, causal convolution, truncated SVD, KV-head replication, rotary embeddings.
 
 All math runs in float64. Weight tensors live on the float32 grid (see
 `f32_resolution`) so the on-disk container round-trips bit-exactly.
@@ -67,6 +67,18 @@ def log_softmax(x: Array, axis: int = -1) -> Array:
     return out
 
 
+def causal_attention(q: Array, k: Array, v: Array, scale: float, offset: int = 0):
+    """Softmax attention of q (..., T, d) over k (..., S, d), v (..., S, d_v),
+    leading axes broadcast; query t sees keys [0, offset + t]. Returns
+    (ctx, probs)."""
+    T, S = q.shape[-2], k.shape[-2]
+    scores = np.matmul(q, np.swapaxes(k, -1, -2))
+    scores *= scale
+    scores += np.triu(np.full((T, S), -np.inf), k=1 + offset)
+    probs = softmax(scores)
+    return np.matmul(probs, v), probs
+
+
 # ---------------------------------------------------------------------------
 # RMS normalization
 # ---------------------------------------------------------------------------
@@ -120,15 +132,10 @@ def causal_conv1d(x: Array, kernel: Array, history: Array | None = None) -> Arra
     return out
 
 
-def causal_conv1d_backward(x: Array, kernel: Array, dy: Array,
-                           history: Array | None = None):
-    """Returns (dx, dkernel) for y = causal_conv1d(x, kernel, history)."""
+def causal_conv1d_backward(x: Array, kernel: Array, dy: Array):
+    """Returns (dx, dkernel) for y = causal_conv1d(x, kernel)."""
     T, c = x.shape[-2], x.shape[-1]
-    if history is None:
-        history = np.zeros(x.shape[:-2] + (CONV_WIDTH - 1, c))
-    else:
-        history = np.broadcast_to(history, x.shape[:-2] + (CONV_WIDTH - 1, c))
-    padded = np.concatenate([history, x], axis=-2)
+    padded = np.concatenate([np.zeros(x.shape[:-2] + (CONV_WIDTH - 1, c)), x], axis=-2)
     dpadded = np.zeros_like(padded)
     dkernel = np.zeros_like(kernel)
     for k in range(CONV_WIDTH):

@@ -2,9 +2,11 @@
 
 Pre-norm residual blocks: h' = h + Attn(RMSNorm(h)), h'' = h' + MLP(RMSNorm(h')).
 Causal grouped-query attention with rotary embeddings over the full head dim;
-optional per-head Q/K RMSNorm. Serves as the distillation teacher and the
-weight source for conversion, so the forward exposes per-layer hidden states
-and attention outputs, and can skip the LM head entirely.
+optional per-head Q/K RMSNorm. Query heads are grouped against their KV head
+on a broadcast axis, through the `numerics.causal_attention` that latent
+attention also runs. Serves as the distillation teacher and the weight source
+for conversion, so the forward exposes per-layer hidden states and attention
+outputs, and can skip the LM head entirely.
 """
 
 from dataclasses import dataclass
@@ -14,7 +16,8 @@ import numpy as np
 from .accounting import record_alloc
 from .checkpoint import TeacherCheckpoint, TeacherLayer
 from .mlp import swiglu_forward
-from .numerics import apply_rope, rmsnorm, rope_inv_freq, rope_tables, softmax
+from .numerics import (apply_rope, causal_attention, rmsnorm, rope_inv_freq,
+                       rope_tables)
 
 
 @dataclass
@@ -43,14 +46,12 @@ def gqa_attention(layer: TeacherLayer, cfg, x: np.ndarray, cos, sin) -> np.ndarr
     q = apply_rope(q, cos[:, None, :], sin[:, None, :])
     k = apply_rope(k, cos[:, None, :], sin[:, None, :])
 
-    # Expand KV heads to the query heads by repetition, then batch the matmuls.
-    k = np.repeat(k.transpose(0, 2, 1, 3), cfg.group, axis=1)   # (B, H_q, T, d_h)
-    v = np.repeat(v.transpose(0, 2, 1, 3), cfg.group, axis=1)
-    q = q.transpose(0, 2, 1, 3)
-    mask = np.triu(np.full((T, T), -np.inf), k=1)
-    probs = softmax(np.matmul(q, k.transpose(0, 1, 3, 2)) / np.sqrt(d_h) + mask)
-    ctx = np.matmul(probs, v)                                   # (B, H_q, T, d_h)
-    out = ctx.transpose(0, 2, 1, 3).reshape(B, T, H_q * d_h) @ layer.wo.T
+    # Query head h reads KV head h // group, broadcast over the group axis.
+    q = q.transpose(0, 2, 1, 3).reshape(B, H_kv, cfg.group, T, d_h)
+    k = k.transpose(0, 2, 1, 3)[:, :, None]                     # (B, H_kv, 1, T, d_h)
+    v = v.transpose(0, 2, 1, 3)[:, :, None]
+    ctx, _ = causal_attention(q, k, v, 1.0 / np.sqrt(d_h))
+    out = ctx.transpose(0, 3, 1, 2, 4).reshape(B, T, H_q * d_h) @ layer.wo.T
     return out[0] if single else out
 
 

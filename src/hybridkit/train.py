@@ -160,7 +160,8 @@ def _clip(tokens: np.ndarray, context_len: int) -> np.ndarray:
 
 def _stack_batch(batch: list, context_len: int):
     """Clip to the context length and the batch's shortest sequence, then
-    stack tokens (B, T) and next-token loss masks (B, T-1)."""
+    stack tokens (B, T) and next-token loss masks (B, T-1). Raises if the
+    clip drops every scored position of an example that had one."""
     clipped = [_clip(ex.tokens, context_len) for ex in batch]
     T = min(t.size for t in clipped)
     tokens = np.stack([t[:T] for t in clipped])
@@ -170,6 +171,10 @@ def _stack_batch(batch: list, context_len: int):
             masks[i] = True
         else:
             masks[i] = ex.loss_mask[: T - 1]
+            if ex.loss_mask.any() and not masks[i].any():
+                raise ValueError(
+                    f"context_len {context_len} (batch clipped to {T} tokens) drops "
+                    f"every scored position of a {ex.tokens.size}-token example")
     return tokens, masks
 
 

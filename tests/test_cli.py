@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from hybridkit.checkpoint import load_teacher
 from hybridkit.cli import main
 from hybridkit.container import read_container, write_container
+from hybridkit.hybrid import load_hybrid
+from hybridkit.synthetic import gen_ngram_corpus
+from hybridkit.train import argmax_agreement
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,22 @@ class TestPipeline:
         assert doc["steps"] == 3
         lines = [json.loads(line) for line in report.read_text().splitlines()]
         assert len(lines) == 4 and "summary" in lines[-1]
+
+    def test_train_stage2_scores_agreement_on_held_out_data(self, workdir,
+                                                           tmp_path, capsys):
+        rc = main(["train", "--stage", "2", "--student", str(workdir / "hybrid.ckpt"),
+                   "--teacher", str(workdir / "t.ckpt"), "--steps", "2",
+                   "--batch", "2", "--context-len", "32", "--data-size", "4",
+                   "--out", str(tmp_path / "trained.ckpt"), "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        drawn = gen_ngram_corpus(64, 8, 32, seed=0)
+        # The training examples are those a 4-example draw gives.
+        for a, b in zip(drawn[:4], gen_ngram_corpus(64, 4, 32, seed=0)):
+            assert np.array_equal(a.tokens, b.tokens)
+        held_out = argmax_agreement(load_hybrid(tmp_path / "trained.ckpt"),
+                                    load_teacher(workdir / "t.ckpt"), drawn[4:], 32)
+        assert doc["metrics"]["argmax_agreement"] == held_out
 
     def test_train_stage2_audit_without_teacher(self, workdir, capsys):
         rc = main(["train", "--stage", "2", "--student", str(workdir / "hybrid.ckpt"),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridkit import numerics as nm
 
@@ -15,6 +17,21 @@ def rmsnorm_oracle(x, gamma, eps):
         for j in range(x.shape[1]):
             out[i, j] = x[i, j] / np.sqrt(ms + eps) * gamma[j]
     return out
+
+
+def attention_oracle(q, k, v, scale, offset):
+    """One head, one query row at a time: softmax over keys [0, offset + t],
+    weight 0 on every later key."""
+    T, S = q.shape[0], k.shape[0]
+    probs = np.zeros((T, S))
+    for t in range(T):
+        n = offset + t + 1
+        scores = [scale * float(q[t] @ k[j]) for j in range(n)]
+        top = max(scores)
+        e = [np.exp(s - top) for s in scores]
+        for j in range(n):
+            probs[t, j] = e[j] / sum(e)
+    return probs @ v, probs
 
 
 def conv_oracle(x, kernel):
@@ -139,6 +156,35 @@ class TestCausalConv:
         full = nm.causal_conv1d(x, kernel)
         part = nm.causal_conv1d(x[6:], kernel, history=x[3:6])
         assert np.allclose(part, full[6:])
+
+
+class TestCausalAttention:
+    @settings(max_examples=40)
+    @given(B=st.integers(1, 2), H_kv=st.integers(1, 3), group=st.integers(1, 4),
+           T=st.integers(1, 12), prior=st.integers(0, 6), d=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 16))
+    def test_grouped_heads_match_per_head_oracle(self, B, H_kv, group, T, prior,
+                                                 d, seed):
+        rng = np.random.default_rng(seed)
+        S = T + prior
+        q = rng.normal(size=(B, H_kv * group, T, d))
+        k = rng.normal(size=(B, H_kv, S, d))
+        v = rng.normal(size=(B, H_kv, S, d + 1))
+        scale = 1.0 / np.sqrt(d)
+        # Query head h reads KV head h // group through a broadcast axis.
+        ctx, probs = nm.causal_attention(q.reshape(B, H_kv, group, T, d),
+                                         k[:, :, None], v[:, :, None], scale,
+                                         offset=prior)
+        ctx = ctx.reshape(B, H_kv * group, T, d + 1)
+        probs = probs.reshape(B, H_kv * group, T, S)
+        for b, h in np.ndindex(B, H_kv * group):
+            want_ctx, want_probs = attention_oracle(q[b, h], k[b, h // group],
+                                                    v[b, h // group], scale, prior)
+            assert np.allclose(ctx[b, h], want_ctx, rtol=0, atol=1e-12)
+            assert np.allclose(probs[b, h], want_probs, rtol=0, atol=1e-12)
+        assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        masked = np.triu(np.ones((T, S), dtype=bool), k=1 + prior)
+        assert np.all(probs[..., masked] == 0.0)
 
 
 class TestRepeatKv:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
                               hybrid_backward, hybrid_forward)
 from hybridkit.losses import kl_naive
-from hybridkit.synthetic import gen_ngram_corpus
+from hybridkit.synthetic import (gen_ngram_corpus, niah_generate,
+                                 niah_train_examples)
 from hybridkit.teacher import teacher_forward
 from hybridkit.train import (Adam, TrainConfig, grad_audit, train_stage1_ild,
                              train_stage2_sft)
@@ -95,6 +98,16 @@ class TestStage2:
         cfg = TrainConfig(stage=2, context_len=48, lr=1e-3, steps=4, batch=2, seed=0)
         rep = train_stage2_sft(student, student, data, cfg)
         assert all(v < 1e-12 for v in rep.losses)
+
+    def test_clip_that_drops_every_scored_position_raises(self, pure_models):
+        # 48-token retrieval examples score only the answer, at position 46.
+        data = niah_train_examples(niah_generate(45, 1, seed=0, vocab=64, n_items=4))
+        student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
+        cfg = TrainConfig(stage=2, context_len=40, steps=5, batch=2, seed=0)
+        with pytest.raises(ValueError, match="context_len 40"):
+            train_stage2_sft(student, None, data, cfg)
+        rep = train_stage2_sft(student, None, data, replace(cfg, context_len=48))
+        assert all(loss > 0.0 for loss in rep.losses)
 
     def test_kd_loss_decreases(self, pure_models, toy_teacher, data):
         student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
@@ -220,16 +233,25 @@ class TestGradAudit:
                   if k.startswith("gdn.")}
         assert grad_audit(loss_fn, params, n_params=32, seed=1) < 1e-2
 
-    def test_mla_block_through_kd(self, toy_teacher, toy_mla_config, rng):
-        student = convert_teacher_to_mla(toy_teacher, toy_mla_config, seed=10)
-        toks = rng.integers(0, 64, size=16)
-        t_logits = teacher_forward(toy_teacher, toks).logits
+    @pytest.mark.parametrize("flags, shape", [
+        ({}, (16,)), ({"gate_mode": True}, (16,)), ({"nope_mode": True}, (16,)),
+        # yarn x4, with the sequence running past the original context
+        ({"yarn_factor": 4.0, "orig_context": 8}, (16,)),
+        ({}, (2, 16))], ids=["plain", "gate", "nope", "yarn", "batched"])
+    def test_mla_block_through_kd(self, toy_teacher, toy_mla_config, rng, flags,
+                                  shape):
+        cfg = replace(toy_mla_config, **flags)
+        student = convert_teacher_to_mla(toy_teacher, cfg, seed=10)
+        toks = rng.integers(0, 64, size=shape)
+        V = toy_teacher.config.vocab
+        t_logits = teacher_forward(toy_teacher, toks).logits.reshape(-1, V)
 
         def loss_fn():
             tapes = []
             s = hybrid_forward(student, toks, want_logits=True, tapes=tapes)
-            out = kl_naive(s.logits, t_logits)
-            grads = hybrid_backward(student, tapes, out.grad @ student.lm_head)
+            out = kl_naive(s.logits.reshape(-1, V), t_logits)
+            d_final = out.grad.reshape(s.logits.shape) @ student.lm_head
+            grads = hybrid_backward(student, tapes, d_final)
             return out.value, grads
 
         params = {k: v for k, v in student.named_tensors().items()
