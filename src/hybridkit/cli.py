@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 validation error (bad flags, missing/invalid files),
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -18,7 +19,7 @@ from .hybrid import (HybridLayout, assemble_hybrid, convert_teacher_to_gdn,
                      load_hybrid, memory_plan, save_hybrid)
 from .mla import MlaConfig, default_mla_config, yarn_scale
 from .synthetic import gen_ngram_corpus, niah_eval, niah_generate, niah_train_examples
-from .train import (TrainConfig, argmax_agreement, audit_distillation,
+from .train import (KL_PATHS, TrainConfig, argmax_agreement, audit_distillation,
                     train_stage1_ild, train_stage2_sft)
 
 
@@ -29,6 +30,27 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
+
+
+def _number(kind, low, strict: bool = False):
+    """argparse type: a finite `kind` value >= low (> low if `strict`).
+    argparse names the flag when it rejects one."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _from_flags(flags: str, build, *args, **kwargs):
+    """Call `build`, turning its ValueError into a CliError naming `flags`."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as e:
+        raise CliError(f"{flags}: {e}")
 
 
 def _emit(args, payload: dict, human_lines) -> None:
@@ -88,7 +110,8 @@ def cmd_convert_mla(args):
     if args.mla_config:
         cfg = MlaConfig.from_dict(_load_json(args.mla_config, "--mla-config"))
     else:
-        cfg = default_mla_config(teacher.config, args.cache_per_token)
+        cfg = _from_flags("--cache-per-token", default_mla_config, teacher.config,
+                          args.cache_per_token)
     if args.yarn_factor > 1.0:
         cfg = yarn_scale(cfg, args.yarn_factor)
     model = _convert(convert_teacher_to_mla, teacher, cfg, args.seed)
@@ -101,7 +124,8 @@ def cmd_convert_mla(args):
 
 def cmd_convert_gdn(args):
     teacher = _open_teacher(args.teacher)
-    cfg = GdnConfig(d=teacher.config.d_model, n_heads=args.heads)
+    cfg = _from_flags("--heads", GdnConfig, d=teacher.config.d_model,
+                      n_heads=args.heads)
     model = _convert(convert_teacher_to_gdn, teacher, cfg, args.seed)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "gdn_config": cfg.to_dict()},
@@ -168,8 +192,9 @@ def _train_data(args, vocab: int, n: int):
     if args.data == "ngram":
         return gen_ngram_corpus(vocab, n, args.context_len, seed=args.data_seed)
     if args.data == "niah":
-        ds = niah_generate(args.context_len - 3, args.needles, seed=args.data_seed,
-                           vocab=vocab, n_items=n)
+        ds = _from_flags("--needles/--context-len", niah_generate,
+                         args.context_len - 3, args.needles, seed=args.data_seed,
+                         vocab=vocab, n_items=n)
         return niah_train_examples(ds)
     raise CliError(f"unknown --data kind {args.data!r}")
 
@@ -217,8 +242,9 @@ def cmd_eval_niah(args):
     model = _open_hybrid(args.model, "--model")
     accs = {}
     for length in args.haystack_len:
-        ds = niah_generate(length, args.needles, seed=args.seed,
-                           vocab=model.config.vocab, n_items=args.items)
+        ds = _from_flags("--needles/--haystack-len", niah_generate, length,
+                         args.needles, seed=args.seed, vocab=model.config.vocab,
+                         n_items=args.items)
         accs.update(niah_eval(model, ds))
     _emit(args, {"accuracy": {str(k): v for k, v in accs.items()}},
           [f"context {k}: accuracy {v:.1%}" for k, v in accs.items()])
@@ -244,15 +270,15 @@ def build_parser() -> _Parser:
              help="initialize a pure latent-attention model from a teacher")
     sp.add_argument("--teacher", required=True)
     sp.add_argument("--mla-config")
-    sp.add_argument("--cache-per-token", type=int, default=None)
-    sp.add_argument("--yarn-factor", type=float, default=1.0)
+    sp.add_argument("--cache-per-token", type=_number(int, 1), default=None)
+    sp.add_argument("--yarn-factor", type=_number(float, 1.0), default=1.0)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
 
     sp = add("convert-gdn", cmd_convert_gdn,
              help="initialize a pure gated-delta model from a teacher")
     sp.add_argument("--teacher", required=True)
-    sp.add_argument("--heads", type=int, default=2)
+    sp.add_argument("--heads", type=_number(int, 1), default=2)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True)
 
@@ -286,27 +312,26 @@ def build_parser() -> _Parser:
     sp.add_argument("--report", help="write per-step JSON lines here")
     sp.add_argument("--data", choices=("ngram", "niah"), default="ngram")
     sp.add_argument("--data-seed", type=int, default=0)
-    sp.add_argument("--data-size", type=int, default=64)
-    sp.add_argument("--needles", type=int, default=1)
-    sp.add_argument("--context-len", type=int, default=256)
-    sp.add_argument("--lr", type=float, default=2e-4)
-    sp.add_argument("--steps", type=int, default=100)
-    sp.add_argument("--batch", type=int, default=4)
+    sp.add_argument("--data-size", type=_number(int, 1), default=64)
+    sp.add_argument("--needles", type=_number(int, 1), default=1)
+    sp.add_argument("--context-len", type=_number(int, 2), default=256)
+    sp.add_argument("--lr", type=_number(float, 0.0, strict=True), default=2e-4)
+    sp.add_argument("--steps", type=_number(int, 1), default=100)
+    sp.add_argument("--batch", type=_number(int, 1), default=4)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--loss-path", choices=("naive", "chunked", "online", "hidden"),
-                    default="naive")
-    sp.add_argument("--kl-chunk", type=int, default=4096)
-    sp.add_argument("--vocab-tile", type=int, default=128)
+    sp.add_argument("--loss-path", choices=KL_PATHS, default="naive")
+    sp.add_argument("--kl-chunk", type=_number(int, 1), default=4096)
+    sp.add_argument("--vocab-tile", type=_number(int, 1), default=128)
     sp.add_argument("--swap-kl", action="store_true",
                     help="distill with KL(teacher || student)")
-    sp.add_argument("--audit-probes", type=int, default=0,
+    sp.add_argument("--audit-probes", type=_number(int, 0), default=0,
                     help="finite-difference audit after stage-2 training")
 
     sp = add("eval-niah", cmd_eval_niah, help="needle-in-haystack retrieval eval")
     sp.add_argument("--model", required=True)
-    sp.add_argument("--haystack-len", type=int, nargs="+", default=[128])
-    sp.add_argument("--needles", type=int, default=1)
-    sp.add_argument("--items", type=int, default=64)
+    sp.add_argument("--haystack-len", type=_number(int, 1), nargs="+", default=[128])
+    sp.add_argument("--needles", type=_number(int, 1), default=1)
+    sp.add_argument("--items", type=_number(int, 1), default=64)
     sp.add_argument("--seed", type=int, default=0)
     return p
 

@@ -34,14 +34,17 @@ from .numerics import (CONV_WIDTH, causal_conv1d, causal_conv1d_backward,
                        f32_resolution, inverse_softplus, repeat_kv, rmsnorm,
                        rmsnorm_backward, sigmoid, silu, silu_grad, softplus)
 
-CHUNK = 64
+# Tokens per chunk of the chunk-parallel core. Results do not depend on it
+# beyond rounding. Timed at d 128 with 4 heads (training steps of 128 and 512
+# tokens, prefills of 128 and 1024), 32 was the fastest of 16/32/64, or within
+# 3% of the fastest.
+CHUNK = 32
 
 
 @dataclass
 class GdnConfig:
     d: int
     n_heads: int
-    chunk: int = CHUNK
 
     def __post_init__(self):
         if self.d_k % self.n_heads != 0:
@@ -65,11 +68,13 @@ class GdnConfig:
         return self.d_v // self.n_heads
 
     def to_dict(self) -> dict:
-        return {"d": self.d, "n_heads": self.n_heads, "chunk": self.chunk}
+        return {"d": self.d, "n_heads": self.n_heads, "chunk": CHUNK}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GdnConfig":
-        return cls(**d)
+        """Drops the `chunk` key: containers written with any chunk length
+        load with CHUNK, which changes no result beyond rounding."""
+        return cls(**{k: v for k, v in d.items() if k != "chunk"})
 
 
 @dataclass
@@ -124,17 +129,17 @@ class GdnState:
 L2_EPS = 1e-6
 
 
-def l2norm(x, eps: float = L2_EPS):
-    """Normalize the last axis to (near-)unit length: x / (|x| + eps)."""
+def l2norm(x):
+    """Normalize the last axis to (near-)unit length: x / (|x| + L2_EPS)."""
     n = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / (n + eps)
+    return x / (n + L2_EPS)
 
 
-def l2norm_backward(x, dy, eps: float = L2_EPS):
+def l2norm_backward(x, dy):
     n = np.linalg.norm(x, axis=-1, keepdims=True)
-    s = 1.0 / (n + eps)
+    s = 1.0 / (n + L2_EPS)
     proj = np.sum(x * dy, axis=-1, keepdims=True)
-    return s * dy - x * proj / (np.maximum(n, 1e-30) * (n + eps) ** 2)
+    return s * dy - x * proj / (np.maximum(n, 1e-30) * (n + L2_EPS) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +167,8 @@ def delta_rule_sequential(q, k, v, g, beta, s0):
     return o, s
 
 
-def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int, tape: list | None = None):
+def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int = CHUNK,
+                       tape: list | None = None):
     """Chunk-parallel equivalent of the sequential rule. Within a chunk the
     per-step corrections solve a unit-lower-triangular system; the state
     crosses chunk boundaries once per chunk."""
@@ -183,10 +189,9 @@ def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int, tape: list | None = Non
         # Pairwise decay exp(b_t - b_s), zeroed above the diagonal. Mask in
         # log space: upper-triangle differences are positive and may overflow.
         db = b[:, :, None] - b[:, None, :]      # (H, C, C)
-        strict = np.tril(np.ones((C, C), dtype=bool), k=-1)
         incl = np.tril(np.ones((C, C), dtype=bool))
-        decay_strict = np.exp(np.where(strict, db, -np.inf))
         decay_incl = np.exp(np.where(incl, db, -np.inf))
+        decay_strict = np.tril(decay_incl, -1)
         eb = np.exp(b)                          # (H, C)
         tail = np.exp(b[:, -1][:, None] - b)    # (H, C) exp(b_C - b_s) <= 1
 
@@ -351,7 +356,7 @@ def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape,
     core_tape = [] if tape is not None else None
     if core == "chunked":
         o_raw, s_new = delta_rule_chunked(qh, kh, vh, g_core, beta_core, s0,
-                                          cfg.chunk, core_tape)
+                                          tape=core_tape)
     else:
         o_raw, s_new = delta_rule_sequential(qh, kh, vh, g_core, beta_core, s0)
 

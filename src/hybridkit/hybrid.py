@@ -16,7 +16,6 @@ distillation step at 2 bytes per element and removes the rows that each
 memory technique eliminates.
 """
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,11 +60,6 @@ class HybridLayout:
         if kind != "gdn":
             raise ValueError(f"unsupported linear_kind {kind!r}; only 'gdn' exists")
         return cls(n_layers=d["n_layers"], mla_indices=d["mla_indices"])
-
-    @classmethod
-    def from_json_file(cls, path) -> "HybridLayout":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass

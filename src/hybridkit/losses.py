@@ -55,14 +55,8 @@ def _check_same_shape(z_s, z_t):
 def ild_loss(student_trace, teacher_trace) -> LossValueAndGrad:
     """Sum over layers of Frobenius distances between hidden states and
     between mixer outputs. Value only; per-layer gradients via ild_grads."""
-    value, _, _ = _ild_terms(student_trace, teacher_trace)
-    return LossValueAndGrad(value=value, grad=None)
-
-
-def ild_grads(student_trace, teacher_trace):
-    """Returns (value, dh_list, da_list): gradients wrt the student's per-layer
-    hidden states and mixer outputs."""
-    return _ild_terms(student_trace, teacher_trace, want_grads=True)
+    return LossValueAndGrad(value=ild_grads(student_trace, teacher_trace)[0],
+                            grad=None)
 
 
 def _norm_and_grad(delta):
@@ -79,7 +73,9 @@ def _norm_and_grad(delta):
     return float(np.mean(n)), grad
 
 
-def _ild_terms(student_trace, teacher_trace, want_grads: bool = False):
+def ild_grads(student_trace, teacher_trace):
+    """Returns (value, dh_list, da_list): gradients wrt the student's per-layer
+    hidden states and mixer outputs."""
     hs, has_ = student_trace.hidden_states, student_trace.mixer_outputs
     ht, hat = teacher_trace.hidden_states, teacher_trace.mixer_outputs
     if len(hs) != len(ht) or len(has_) != len(hat):
@@ -92,12 +88,9 @@ def _ild_terms(student_trace, teacher_trace, want_grads: bool = False):
         n_h, g_h = _norm_and_grad(s_h - t_h)
         n_a, g_a = _norm_and_grad(s_a - t_a)
         value += n_h + n_a
-        if want_grads:
-            dh_list.append(g_h)
-            da_list.append(g_a)
-    if want_grads:
-        return value, dh_list, da_list
-    return value, None, None
+        dh_list.append(g_h)
+        da_list.append(g_a)
+    return value, dh_list, da_list
 
 
 # ---------------------------------------------------------------------------

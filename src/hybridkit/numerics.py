@@ -50,20 +50,20 @@ def inverse_softplus(y: Array) -> Array:
     return np.where(y > 30.0, y, np.log(np.expm1(np.maximum(y, 1e-30))))
 
 
-def softmax(x: Array, axis: int = -1) -> Array:
+def softmax(x: Array) -> Array:
     """Exponentiates and divides in place, so the result is the only
     x-sized buffer."""
-    e = x - np.max(x, axis=axis, keepdims=True)
+    e = x - np.max(x, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=axis, keepdims=True)
+    e /= np.sum(e, axis=-1, keepdims=True)
     return e
 
 
-def log_softmax(x: Array, axis: int = -1) -> Array:
+def log_softmax(x: Array) -> Array:
     """Subtracts in place, so the only x-sized buffers are the result and
     the exp() temporary."""
-    out = x - np.max(x, axis=axis, keepdims=True)
-    out -= np.log(np.sum(np.exp(out), axis=axis, keepdims=True))
+    out = x - np.max(x, axis=-1, keepdims=True)
+    out -= np.log(np.sum(np.exp(out), axis=-1, keepdims=True))
     return out
 
 
@@ -206,8 +206,12 @@ def _ramp(low: float, high: float, n: int) -> Array:
     return np.clip(lin, 0.0, 1.0)
 
 
-def yarn_inv_freq(dim: int, theta: float, factor: float, orig_context: int,
-                  beta_fast: float = 32.0, beta_slow: float = 1.0) -> Array:
+# Rotations over the original context above which a frequency is kept
+# (fast) and below which it is interpolated (slow); YaRN's defaults.
+YARN_BETA_FAST, YARN_BETA_SLOW = 32.0, 1.0
+
+
+def yarn_inv_freq(dim: int, theta: float, factor: float, orig_context: int) -> Array:
     """NTK-by-parts rescaling: interpolate low frequencies by `factor`,
     keep high frequencies, blend over a ramp between the two regimes."""
     base = rope_inv_freq(dim, theta)
@@ -217,8 +221,8 @@ def yarn_inv_freq(dim: int, theta: float, factor: float, orig_context: int,
     def correction_dim(n_rot: float) -> float:
         return dim * np.log(orig_context / (n_rot * 2.0 * np.pi)) / (2.0 * np.log(theta))
 
-    low = max(np.floor(correction_dim(beta_fast)), 0.0)
-    high = min(np.ceil(correction_dim(beta_slow)), dim / 2 - 1.0)
+    low = max(np.floor(correction_dim(YARN_BETA_FAST)), 0.0)
+    high = min(np.ceil(correction_dim(YARN_BETA_SLOW)), dim / 2 - 1.0)
     extrapolate_w = 1.0 - _ramp(low, high, dim // 2)
     return base / factor * (1.0 - extrapolate_w) + base * extrapolate_w
 

@@ -43,25 +43,17 @@ def _ngram_walk(successors, rng, seq_len: int, vocab: int) -> np.ndarray:
     return toks
 
 
-def ngram_stream(vocab: int, seq_len: int, table_seed: int, branching: int = 4):
-    """Sampler over one fixed bigram language: each token has `branching`
-    likely successors. Returns callable(rng) -> TrainExample, so training can
-    draw unlimited fresh sequences from the same distribution."""
-    table_rng = np.random.default_rng(table_seed)
-    successors = table_rng.integers(0, vocab, size=(vocab, branching))
-
-    def gen(rng) -> TrainExample:
-        return TrainExample(tokens=_ngram_walk(successors, rng, seq_len, vocab))
-
-    return gen
+BRANCHING = 4   # likely successors per token in the bigram language
 
 
-def gen_ngram_corpus(vocab: int, n_sequences: int, seq_len: int, seed: int,
-                     branching: int = 4) -> list:
-    """A fixed list of sequences from the seed's bigram language."""
-    gen = ngram_stream(vocab, seq_len, table_seed=seed, branching=branching)
+def gen_ngram_corpus(vocab: int, n_sequences: int, seq_len: int, seed: int) -> list:
+    """A fixed list of sequences from the seed's bigram language. The table
+    and the walks draw from two generators seeded alike, so a longer corpus
+    extends a shorter one."""
+    successors = np.random.default_rng(seed).integers(0, vocab, size=(vocab, BRANCHING))
     rng = np.random.default_rng(seed)
-    return [gen(rng) for _ in range(n_sequences)]
+    return [TrainExample(tokens=_ngram_walk(successors, rng, seq_len, vocab))
+            for _ in range(n_sequences)]
 
 
 def _token_ranges(vocab: int, n_keys: int, n_values: int):
@@ -77,8 +69,9 @@ def niah_generate(haystack_len: int, n_needles: int, seed: int, vocab: int = 64,
     """Sequences of `haystack_len` filler tokens with `n_needles` embedded
     key->value pairs and a trailing query. `needle_pos` pins the queried
     needle's location (e.g. the final filler slot)."""
-    if haystack_len < 2 * n_needles:
-        raise ValueError("haystack shorter than the needles it must hold")
+    if haystack_len // 2 - 1 < n_needles:   # needle slots are even positions
+        raise ValueError(f"a {haystack_len}-token haystack has no room for "
+                         f"{n_needles} needle(s)")
     rng = np.random.default_rng(seed)
     n_filler, key0, val0, query_tok = _token_ranges(vocab, n_keys, n_values)
     items = []

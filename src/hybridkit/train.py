@@ -31,27 +31,27 @@ FROZEN = ("embedding", "lm_head")
 
 KL_PATHS = ("naive", "chunked", "online", "hidden")
 
+# A run stops once this many optimizer steps in a row skip on a non-finite
+# gradient norm, rather than finishing with weights that no longer move.
+MAX_CONSECUTIVE_SKIPS = 5
+
 
 @dataclass
 class TrainConfig:
     stage: int = 1
     context_len: int = 2048
     lr: float = 2e-4
-    warmup_ratio: float = 0.01
     steps: int = 100
     batch: int = 4
     seed: int = 0
     loss_path: str = "naive"
     kl_chunk: int = 4096
     vocab_tile: int = 128
-    grad_clip: float = 1.0   # global-norm clip; <= 0 disables
     swap_kl: bool = False    # distill with KL(teacher || student)
 
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ValueError("warmup_ratio must lie in [0, 1)")
         if self.stage not in (1, 2):
             raise ValueError("stage must be 1 or 2")
         if self.loss_path not in KL_PATHS:
@@ -66,13 +66,15 @@ class TrainConfig:
 class TrainReport:
     losses: list = field(default_factory=list)
     skipped: list = field(default_factory=list)  # per step: update not applied
+    opt_stats: list = field(default_factory=list)  # per step: Adam.last_stats
     metrics: dict = field(default_factory=dict)
     wall_clock_s: float = 0.0
     peak_transient_elements: int = 0
 
     def step_records(self):
-        for i, (loss, skipped) in enumerate(zip(self.losses, self.skipped)):
-            yield {"step": i, "loss": loss, "skipped": skipped}
+        for i, (loss, skipped, opt) in enumerate(
+                zip(self.losses, self.skipped, self.opt_stats)):
+            yield {"step": i, "loss": loss, "skipped": skipped, **opt}
 
     def summary(self) -> dict:
         return {
@@ -87,18 +89,22 @@ class TrainReport:
 
 
 class Adam:
-    """Adam with cosine decay and linear warmup; updates stay on the f32 grid."""
+    """Adam with linear warmup over the first WARMUP_RATIO of the steps, then
+    cosine decay, and the gradients clipped to a global norm of GRAD_CLIP;
+    updates stay on the f32 grid."""
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    WARMUP_RATIO, GRAD_CLIP = 0.01, 1.0
 
-    def __init__(self, params: dict, lr: float, total_steps: int,
-                 warmup_ratio: float = 0.01, grad_clip: float = 0.0):
+    def __init__(self, params: dict, lr: float, total_steps: int):
         self.params = params
         self.lr = lr
         self.total_steps = max(total_steps, 1)
-        self.warmup_steps = max(int(round(warmup_ratio * self.total_steps)), 0)
-        self.grad_clip = grad_clip
+        self.warmup_steps = int(round(self.WARMUP_RATIO * self.total_steps))
         self.t = 0
+        # The last step's lr, global grad norm and clip scale; a non-finite
+        # norm, which skips the step, reads None.
+        self.last_stats: dict = {}
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
@@ -117,10 +123,13 @@ class Adam:
         norm_sq = sum(float(np.sum(g * g)) for n, g in grads.items()
                       if n in self.params)
         if not np.isfinite(norm_sq):
+            self.last_stats = {"lr": lr_t, "grad_norm": None, "clip_scale": None}
             return False
         scale = 1.0
-        if self.grad_clip > 0 and norm_sq > self.grad_clip ** 2:
-            scale = self.grad_clip / np.sqrt(norm_sq)
+        if norm_sq > self.GRAD_CLIP ** 2:
+            scale = self.GRAD_CLIP / np.sqrt(norm_sq)
+        self.last_stats = {"lr": lr_t, "grad_norm": float(np.sqrt(norm_sq)),
+                           "clip_scale": float(scale)}
         b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
@@ -181,19 +190,24 @@ def _stack_batch(batch: list, context_len: int):
 def _train(student: HybridModel, data: list, cfg: TrainConfig, step) -> TrainReport:
     """The training loop of both stages. Each step samples `cfg.batch`
     examples from `data`, calls `step(tokens, masks) -> (loss, grads)` and
-    applies Adam to every tensor outside FROZEN."""
+    applies Adam to every tensor outside FROZEN. Raises once
+    MAX_CONSECUTIVE_SKIPS steps in a row skip their update."""
     rng = np.random.default_rng(cfg.seed)
-    opt = Adam(trainable_params(student), cfg.lr, cfg.steps, cfg.warmup_ratio,
-               grad_clip=cfg.grad_clip)
+    opt = Adam(trainable_params(student), cfg.lr, cfg.steps)
     report = TrainReport()
     t0 = time.perf_counter()
     with track_allocations() as tracker:
-        for _ in range(cfg.steps):
+        for t in range(cfg.steps):
             idx = rng.integers(0, len(data), size=cfg.batch)
             tokens, masks = _stack_batch([data[i] for i in idx], cfg.context_len)
             loss, grads = step(tokens, masks)
             report.losses.append(float(loss))
             report.skipped.append(not opt.step(grads))
+            report.opt_stats.append(opt.last_stats)
+            if report.skipped[-MAX_CONSECUTIVE_SKIPS:] == [True] * MAX_CONSECUTIVE_SKIPS:
+                raise ValueError(
+                    f"{MAX_CONSECUTIVE_SKIPS} consecutive optimizer steps skipped on a "
+                    f"non-finite gradient norm, the last at step {t}")
     report.peak_transient_elements = tracker.peak_elements
     report.wall_clock_s = time.perf_counter() - t0
     return report
@@ -232,13 +246,14 @@ def _stage2_loss(student: HybridModel, teacher, tokens, masks, cfg: TrainConfig)
                              want_logits=teacher is not None and not hidden)
     final = s_trace.final_hidden                        # (B, T, d)
     if teacher is None:
-        value, d_final = 0.0, np.zeros_like(final)
         targets = tokens[:, 1:][masks]
-        if targets.size:
-            out = fused_linear_ce(final[:, :-1][masks], student.lm_head, targets,
-                                  loss_cfg)
-            value = out.value
-            d_final[:, :-1][masks] = out.grad
+        if not targets.size:
+            raise ValueError(
+                f"no scored next-token target in a batch of {tokens.shape[1]}-token "
+                f"sequences (context_len {cfg.context_len})")
+        out = fused_linear_ce(final[:, :-1][masks], student.lm_head, targets, loss_cfg)
+        value, d_final = out.value, np.zeros_like(final)
+        d_final[:, :-1][masks] = out.grad
     elif hidden:
         t_final = _teacher_outputs(teacher, tokens, want_logits=False).final_hidden
         out = kl_hidden(final.reshape(-1, final.shape[-1]), student.lm_head,

@@ -133,7 +133,42 @@ class TestReports:
         assert doc["rows"]["teacher_logits"] == 0
 
 
+TRAIN = ["train", "--stage", "2", "--student", "{d}/hybrid.ckpt", "--steps", "1",
+         "--batch", "1", "--data-size", "1", "--context-len", "32"]
+
+
+# Each bad value, and the flag the error must name.
+BAD_FLAGS = [
+    (TRAIN + ["--steps", "0"], "--steps"),
+    (TRAIN + ["--data-size", "0"], "--data-size"),
+    (TRAIN + ["--batch", "0"], "--batch"),
+    (TRAIN + ["--lr", "0"], "--lr"),
+    (TRAIN + ["--kl-chunk", "0"], "--kl-chunk"),
+    (TRAIN + ["--context-len", "1"], "--context-len"),
+    (TRAIN + ["--data", "niah", "--needles", "40"], "--needles"),
+    (["convert-mla", "--teacher", "{d}/t.ckpt", "--yarn-factor", "0.5",
+      "--out", "{out}"], "--yarn-factor"),
+    (["convert-mla", "--teacher", "{d}/t.ckpt", "--cache-per-token", "2",
+      "--out", "{out}"], "--cache-per-token"),
+    (["convert-gdn", "--teacher", "{d}/t.ckpt", "--heads", "5", "--out", "{out}"],
+     "--heads"),
+    (["eval-niah", "--model", "{d}/hybrid.ckpt", "--haystack-len", "1"],
+     "--haystack-len"),
+    (["eval-niah", "--model", "{d}/hybrid.ckpt", "--items", "0"], "--items"),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("argv, flag", BAD_FLAGS,
+                             ids=[flag for _, flag in BAD_FLAGS])
+    def test_bad_flag_value_exits_one_naming_it(self, workdir, tmp_path, capsys,
+                                               argv, flag):
+        out = tmp_path / "x.ckpt"
+        rc = main([a.format(d=workdir, out=out) for a in argv])
+        assert rc == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_one(self, capsys):
         rc = main(["mem-plan", "--tokens", "4", "--vocab", "4", "--frobnicate"])
         assert rc == 1

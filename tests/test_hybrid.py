@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hybridkit.accounting import track_allocations
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 from hybridkit.container import read_container, write_container
+from hybridkit.gdn import CHUNK
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
                               format_gb, hybrid_forward, kv_cache_report,
@@ -299,6 +300,19 @@ class TestSerialization:
         with pytest.warns(UserWarning, match="mystery"):
             loaded = load_hybrid(path)
         assert loaded.named_tensors().keys() == hybrid.named_tensors().keys()
+
+    @pytest.mark.parametrize("stored_chunk", [7, 64])
+    def test_any_stored_chunk_loads_with_the_kernel_constant(self, hybrid, tmp_path,
+                                                             rng, stored_chunk):
+        path = tmp_path / "h.ckpt"
+        save_hybrid(hybrid, path)
+        tensors, meta = read_container(path)
+        assert meta["gdn_cfg"]["chunk"] == CHUNK
+        meta["gdn_cfg"]["chunk"] = stored_chunk
+        write_container(path, tensors, meta)
+        toks = rng.integers(0, 64, size=2 * CHUNK + 5)
+        assert np.array_equal(hybrid_forward(hybrid, toks).logits,
+                              hybrid_forward(load_hybrid(path), toks).logits)
 
     def test_forward_identical_after_reload(self, hybrid, tmp_path, rng):
         path = tmp_path / "h.ckpt"

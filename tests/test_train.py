@@ -1,9 +1,11 @@
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hybridkit.accounting import track_allocations
+from hybridkit.gdn import CHUNK
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
                               hybrid_backward, hybrid_forward)
@@ -11,8 +13,8 @@ from hybridkit.losses import kl_naive
 from hybridkit.synthetic import (gen_ngram_corpus, niah_generate,
                                  niah_train_examples)
 from hybridkit.teacher import teacher_forward
-from hybridkit.train import (Adam, TrainConfig, grad_audit, train_stage1_ild,
-                             train_stage2_sft)
+from hybridkit.train import (MAX_CONSECUTIVE_SKIPS, Adam, TrainConfig, grad_audit,
+                             train_stage1_ild, train_stage2_sft)
 
 
 @pytest.fixture
@@ -154,6 +156,38 @@ class TestStage2:
         assert rep.summary()["skipped_steps"] == 3
         assert [r["skipped"] for r in rep.step_records()] == [True] * 3
 
+    def test_consecutive_skips_abort_the_run(self, pure_models, data):
+        student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
+        student.layers[0].mixer.w_o[0, 0] = np.nan
+        cfg = TrainConfig(stage=2, context_len=48, lr=1e-3, steps=6, batch=2, seed=0)
+        last = MAX_CONSECUTIVE_SKIPS - 1
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+                ValueError, match=f"{MAX_CONSECUTIVE_SKIPS} consecutive .* step {last}$"):
+            train_stage2_sft(student, None, data, cfg)
+
+    def test_step_records_explain_the_schedule(self, pure_models, data):
+        student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
+        cfg = TrainConfig(stage=2, context_len=48, lr=1e-3, steps=3, batch=2, seed=0)
+        records = list(train_stage2_sft(student, None, data, cfg).step_records())
+        schedule = Adam({}, cfg.lr, cfg.steps)
+        for i, rec in enumerate(records):
+            assert rec["lr"] == schedule.lr_at(i)
+            assert np.isfinite(rec["grad_norm"]) and rec["grad_norm"] > 0
+            assert 0 < rec["clip_scale"] <= 1
+        student.layers[0].mixer.w_o[0, 0] = np.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            records = list(train_stage2_sft(student, None, data, cfg).step_records())
+        for rec in records:
+            assert rec["skipped"] and rec["grad_norm"] is None
+            assert rec["clip_scale"] is None
+            assert '"grad_norm": null' in json.dumps(rec)
+
+    def test_teacherless_batch_without_a_target_raises(self, pure_models, data):
+        student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
+        cfg = TrainConfig(stage=2, context_len=1, steps=1, batch=2, seed=0)
+        with pytest.raises(ValueError, match="no scored next-token target"):
+            train_stage2_sft(student, None, data, cfg)
+
     def test_vocab_mismatch_rejected(self, pure_models, data):
         from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 
@@ -168,11 +202,11 @@ class TestStage2:
 class TestAdam:
     def test_warmup_then_cosine(self):
         p = {"w": np.zeros(3)}
-        opt = Adam(p, lr=1.0, total_steps=100, warmup_ratio=0.1)
+        opt = Adam(p, lr=1.0, total_steps=1000)     # 1% warmup: 10 steps
         assert opt.lr_at(0) == pytest.approx(0.1)
         assert opt.lr_at(9) == pytest.approx(1.0)
         assert opt.lr_at(10) == pytest.approx(1.0)
-        assert opt.lr_at(99) < 0.01
+        assert opt.lr_at(999) < 0.01
 
     def test_updates_stay_on_f32_grid(self, rng):
         w = rng.normal(size=(4, 4)).astype(np.float32).astype(np.float64)
@@ -191,7 +225,7 @@ class TestAdam:
 
     def test_global_norm_clip(self):
         p = {"w": np.zeros(2)}
-        opt = Adam(p, lr=1.0, total_steps=10, grad_clip=1.0)
+        opt = Adam(p, lr=1.0, total_steps=10)
         opt.step({"w": np.array([30.0, 40.0])})   # norm 50 -> scaled by 1/50
         assert np.all(np.isfinite(p["w"]))
 
@@ -218,20 +252,25 @@ class TestGradAudit:
         assert err < 1e-4
 
     def test_gdn_block_through_kd(self, toy_teacher, toy_gdn_config, rng):
+        # One chunk, then three with a ragged last one, single and batched:
+        # the adjoint carried across chunk boundaries is audited too.
         student = convert_teacher_to_gdn(toy_teacher, toy_gdn_config, seed=20)
-        toks = rng.integers(0, 64, size=16)
-        t_logits = teacher_forward(toy_teacher, toks).logits
-
-        def loss_fn():
-            tapes = []
-            s = hybrid_forward(student, toks, want_logits=True, tapes=tapes)
-            out = kl_naive(s.logits, t_logits)
-            grads = hybrid_backward(student, tapes, out.grad @ student.lm_head)
-            return out.value, grads
-
         params = {k: v for k, v in student.named_tensors().items()
                   if k.startswith("gdn.")}
-        assert grad_audit(loss_fn, params, n_params=32, seed=1) < 1e-2
+        V = toy_teacher.config.vocab
+        T = 2 * CHUNK + 5
+        for shape in ((16,), (T,), (2, T)):
+            toks = rng.integers(0, V, size=shape)
+            t_logits = teacher_forward(toy_teacher, toks).logits.reshape(-1, V)
+
+            def loss_fn():
+                tapes = []
+                s = hybrid_forward(student, toks, want_logits=True, tapes=tapes)
+                out = kl_naive(s.logits.reshape(-1, V), t_logits)
+                d_final = out.grad.reshape(s.logits.shape) @ student.lm_head
+                return out.value, hybrid_backward(student, tapes, d_final)
+
+            assert grad_audit(loss_fn, params, n_params=32, seed=1) < 1e-2, shape
 
     @pytest.mark.parametrize("flags, shape", [
         ({}, (16,)), ({"gate_mode": True}, (16,)), ({"nope_mode": True}, (16,)),
