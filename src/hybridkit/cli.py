@@ -71,8 +71,22 @@ def _load_json(path, what: str) -> dict:
         raise CliError(f"{what} file {path} is not valid JSON: {e}")
 
 
+def _config_file(cls, path, flag: str):
+    """`cls.from_dict` of the JSON object in `path`; an unknown, missing or
+    out-of-range key becomes a CliError naming `flag` and the file."""
+    d = _load_json(path, flag)
+    if not isinstance(d, dict):
+        raise CliError(f"{flag} file {path}: expected a JSON object")
+    try:
+        return cls.from_dict(d)
+    except KeyError as e:
+        raise CliError(f"{flag} file {path}: missing key {e}")
+    except (TypeError, ValueError) as e:
+        raise CliError(f"{flag} file {path}: {e}")
+
+
 def cmd_gen_teacher(args):
-    cfg = TransformerConfig.from_dict(_load_json(args.config, "--config"))
+    cfg = _config_file(TransformerConfig, args.config, "--config")
     ckpt = gen_toy_teacher(cfg, args.seed)
     save_teacher(ckpt, args.out)
     _emit(args, {"out": args.out, "config": cfg.to_dict(), "seed": args.seed},
@@ -108,7 +122,7 @@ def _convert(fn, teacher, cfg, seed):
 def cmd_convert_mla(args):
     teacher = _open_teacher(args.teacher)
     if args.mla_config:
-        cfg = MlaConfig.from_dict(_load_json(args.mla_config, "--mla-config"))
+        cfg = _config_file(MlaConfig, args.mla_config, "--mla-config")
     else:
         cfg = _from_flags("--cache-per-token", default_mla_config, teacher.config,
                           args.cache_per_token)
@@ -136,7 +150,7 @@ def cmd_convert_gdn(args):
 def cmd_assemble(args):
     pure_mla = _open_hybrid(args.mla, "--mla")
     pure_gdn = _open_hybrid(args.gdn, "--gdn")
-    layout = HybridLayout.from_dict(_load_json(args.layout, "--layout"))
+    layout = _config_file(HybridLayout, args.layout, "--layout")
     model = assemble_hybrid(pure_mla, pure_gdn, layout, donor=args.donor)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "layout": layout.to_dict()},
@@ -160,10 +174,10 @@ def cmd_verify(args):
 
 
 def cmd_kv_report(args):
-    layout = HybridLayout.from_dict(_load_json(args.layout, "--layout"))
-    teacher_cfg = TransformerConfig.from_dict(_load_json(args.teacher_config,
-                                                         "--teacher-config"))
-    mla_cfg = MlaConfig.from_dict(_load_json(args.mla_config, "--mla-config"))
+    layout = _config_file(HybridLayout, args.layout, "--layout")
+    teacher_cfg = _config_file(TransformerConfig, args.teacher_config,
+                               "--teacher-config")
+    mla_cfg = _config_file(MlaConfig, args.mla_config, "--mla-config")
     rep = kv_cache_report(layout, teacher_cfg, mla_cfg)
     _emit(args, rep.to_dict(), [
         f"teacher cache/token: {rep.teacher_per_token} elements",

@@ -11,7 +11,9 @@ heads, and standard causal attention runs at scale 1/sqrt(d_nope + d_rope).
 The cache holds one row of r_kv + d_rope elements per token,
 [Norm(c^KV) | RoPE(k^rope)], normalized once when the token is appended.
 Prefill and training expand per-head keys [k^nope | k^rope] and values from
-it and run `numerics.causal_attention`, as the teacher's GQA does. A decode step
+it and run `numerics.causal_attention`, as the teacher's GQA does; the tape
+keeps each query row's log-sum-exp, from which `causal_attention_backward`
+recomputes the attention probabilities block by block. A decode step
 attends in latent space instead (weight absorption, DeepSeek-V2 §2.1): its
 query becomes [W_kb[h]^T q^nope[h] | q^rope[h]], scores are one product with
 the cached rows, and W_vb[h] maps the attended latent back to head h's value.
@@ -30,9 +32,9 @@ import numpy as np
 from .accounting import record_alloc
 from .checkpoint import TeacherLayer, TransformerConfig
 from .numerics import (apply_rope, apply_rope_backward, causal_attention,
-                       f32_resolution, repeat_kv, rmsnorm, rmsnorm_backward,
-                       rope_tables, sigmoid, softmax, svd, yarn_inv_freq,
-                       yarn_mscale)
+                       causal_attention_backward, f32_resolution, repeat_kv,
+                       rmsnorm, rmsnorm_backward, rope_tables, sigmoid, softmax,
+                       svd, yarn_inv_freq, yarn_mscale)
 
 
 @dataclass
@@ -235,7 +237,7 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
         q_h = np.concatenate([qn, qr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, T, d_qk)
         k_h = np.concatenate([kn, kr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, S, d_qk)
         v_h = (ckv @ w.w_vb.T).reshape(B, S, H, dv).transpose(0, 2, 1, 3)
-        ctx, probs = causal_attention(q_h, k_h, v_h, scale, n_prior)  # (B, H, T, dv)
+        ctx, lse = causal_attention(q_h, k_h, v_h, scale, n_prior)  # (B, H, T, dv)
         ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
     out = out_ungated = ctx2 @ w.w_o.T
 
@@ -246,8 +248,8 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
 
     if tape is not None:
         tape.update(x=xb, cq_raw=cq_raw, cq=cq, q_h=q_h, ckv_raw=ckv_raw,
-                    ckv=ckv, k_h=k_h, v_h=v_h, probs=probs, ctx2=ctx2, cos=cos,
-                    sin=sin, gate_pre=gate_pre,
+                    ckv=ckv, k_h=k_h, v_h=v_h, lse=lse, n_prior=n_prior,
+                    ctx2=ctx2, cos=cos, sin=sin, gate_pre=gate_pre,
                     out_ungated=out_ungated if cfg.gate_mode else None)
     if single:
         return out[0], MlaCache(kv[0], cfg.r_kv)
@@ -258,9 +260,8 @@ def mla_backward(w: MlaBlockWeights, cfg: MlaConfig, tape: dict, dout: np.ndarra
     """Reverse-mode pass of the prefill forward; returns (dx, grads dict)."""
     single = dout.ndim == 2
     dout_b = dout[None] if single else dout
-    x, probs = tape["x"], tape["probs"]
-    B, T = x.shape[0], x.shape[1]
-    S = probs.shape[-1]
+    x, q_h, k_h, v_h = tape["x"], tape["q_h"], tape["k_h"], tape["v_h"]
+    B, T, S = x.shape[0], x.shape[1], k_h.shape[-2]
     H, dn, dr, dv = cfg.n_heads, cfg.d_qk_nope, cfg.d_qk_rope, cfg.d_v
     scale = 1.0 / np.sqrt(cfg.d_qk)
     x_flat = x.reshape(B * T, -1)
@@ -276,14 +277,12 @@ def mla_backward(w: MlaBlockWeights, cfg: MlaConfig, tape: dict, dout: np.ndarra
 
     dctx2 = dout_b @ w.w_o
     grads["w_o"] = dout_b.reshape(B * T, -1).T @ tape["ctx2"].reshape(B * T, -1)
-    dctx = dctx2.reshape(B, T, H, dv).transpose(0, 2, 1, 3)     # (B, H, T, dv)
-
-    dp = np.matmul(dctx, tape["v_h"].transpose(0, 1, 3, 2))    # (B, H, T, S)
-    dv_h = np.matmul(probs.transpose(0, 1, 3, 2), dctx)         # (B, H, S, dv)
-    dscores = probs * (dp - np.sum(dp * probs, axis=-1, keepdims=True))
-    draw = dscores * scale
-    dq = np.matmul(draw, tape["k_h"]).transpose(0, 2, 1, 3)    # (B, T, H, d_qk)
-    dk = np.matmul(draw.transpose(0, 1, 3, 2), tape["q_h"])    # (B, H, S, d_qk)
+    dctx = dctx2.reshape(B, T, H, dv)
+    delta = np.sum(dctx * tape["ctx2"].reshape(B, T, H, dv), axis=-1)
+    dq, dk, dv_h = causal_attention_backward(
+        q_h, k_h, v_h, scale, tape["n_prior"], tape["lse"],
+        delta.transpose(0, 2, 1), dctx.transpose(0, 2, 1, 3))
+    dq = dq.transpose(0, 2, 1, 3)                               # (B, T, H, d_qk)
     dqr, dkr = dq[..., dn:], dk[..., dn:].sum(axis=1)           # (B, S, dr)
 
     cos, sin = tape["cos"], tape["sin"]

@@ -62,6 +62,11 @@ class TrainConfig:
                           swap_direction=self.swap_kl)
 
 
+def _json_float(x: float) -> float | None:
+    """x, or None (JSON null) if it is not finite: strict JSON has no NaN."""
+    return x if np.isfinite(x) else None
+
+
 @dataclass
 class TrainReport:
     losses: list = field(default_factory=list)
@@ -74,15 +79,15 @@ class TrainReport:
     def step_records(self):
         for i, (loss, skipped, opt) in enumerate(
                 zip(self.losses, self.skipped, self.opt_stats)):
-            yield {"step": i, "loss": loss, "skipped": skipped, **opt}
+            yield {"step": i, "loss": _json_float(loss), "skipped": skipped, **opt}
 
     def summary(self) -> dict:
         return {
             "steps": len(self.losses),
             "skipped_steps": sum(self.skipped),
-            "first_loss": self.losses[0] if self.losses else None,
-            "final_loss": self.losses[-1] if self.losses else None,
-            "metrics": self.metrics,
+            "first_loss": _json_float(self.losses[0]) if self.losses else None,
+            "final_loss": _json_float(self.losses[-1]) if self.losses else None,
+            "metrics": {k: _json_float(v) for k, v in self.metrics.items()},
             "wall_clock_s": self.wall_clock_s,
             "peak_transient_elements": self.peak_transient_elements,
         }

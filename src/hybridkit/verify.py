@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gdn import gdn_forward_chunked, gdn_forward_sequential
+from .gdn import CHUNK, gdn_forward_chunked, gdn_forward_sequential
 from .hybrid import HybridModel
 from .losses import LossConfig, kl_chunked, kl_hidden, kl_naive, kl_online
-from .numerics import repeat_kv, svd
+from .numerics import ATTN_BLOCK, repeat_kv, svd
 from .synthetic import TrainExample
 from .train import TrainConfig, audit_distillation
 
@@ -87,8 +87,11 @@ def _kl_agreement(seed: int) -> CheckResult:
 
 
 def _kd_grad_audit(hybrid: HybridModel, teacher, seed: int) -> CheckResult:
+    # Long enough to cross attention-block and GDN-chunk boundaries, where
+    # the backward carries gradients from one block or chunk to the next.
     rng = np.random.default_rng(seed)
-    example = TrainExample(rng.integers(0, hybrid.config.vocab, size=16))
+    example = TrainExample(rng.integers(0, hybrid.config.vocab,
+                                        size=2 * max(ATTN_BLOCK, CHUNK) + 5))
     err = audit_distillation(hybrid, teacher, example, TrainConfig(stage=2),
                              n_probes=16, seed=seed)
     return CheckResult("gradient audit (hybrid through KD)", err < 1e-2,

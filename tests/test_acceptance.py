@@ -15,7 +15,7 @@ import pytest
 from hybridkit.accounting import track_allocations
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher, load_teacher
 from hybridkit.cli import main
-from hybridkit.gdn import (GdnConfig, gdn_forward_chunked,
+from hybridkit.gdn import (CHUNK, GdnConfig, gdn_forward_chunked,
                            gdn_forward_sequential, gdn_param_count,
                            init_gdn_from_teacher)
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
@@ -25,7 +25,7 @@ from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
 from hybridkit.losses import (LossConfig, fused_linear_ce, kl_chunked,
                               kl_hidden, kl_naive, kl_online)
 from hybridkit.mla import MlaConfig, default_mla_config, init_mla_from_teacher
-from hybridkit.numerics import f32_resolution, repeat_kv
+from hybridkit.numerics import ATTN_BLOCK, f32_resolution, repeat_kv
 from hybridkit.synthetic import (gen_ngram_corpus, niah_eval, niah_generate,
                                  niah_train_examples)
 from hybridkit.teacher import teacher_forward
@@ -170,9 +170,10 @@ def test_criterion_06_gradient_audits():
 
     err_ce = grad_audit(ce_loss, hbox, n_params=32, seed=2, rel_step=1e-4)
 
-    # full blocks through KD at 1e-2
+    # full blocks through KD at 1e-2, on tokens that span three attention
+    # blocks and three GDN chunks, so the gradients carried across both count
     teacher = gen_toy_teacher(TOY, 0)
-    toks = r.integers(0, 64, size=16)
+    toks = r.integers(0, 64, size=2 * max(ATTN_BLOCK, CHUNK) + 5)
     t_logits = teacher_forward(teacher, toks).logits
     errs_block = {}
     for kind in ("mla", "gdn"):

@@ -92,6 +92,30 @@ class TestPipeline:
         doc = json.loads(capsys.readouterr().out)
         assert np.isfinite(doc["metrics"]["grad_audit_max_rel_err"])
 
+    def test_nonfinite_loss_is_strict_json_null(self, workdir, tmp_path, capsys,
+                                                monkeypatch):
+        def load_with_nan(path):
+            model = load_hybrid(path)
+            model.layers[0].mixer.w_o[0, 0] = np.nan
+            return model
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        monkeypatch.setattr("hybridkit.cli.load_hybrid", load_with_nan)
+        report = tmp_path / "steps.jsonl"
+        with np.errstate(invalid="ignore", over="ignore"):
+            rc = main(["train", "--stage", "2", "--student",
+                       str(workdir / "hybrid.ckpt"), "--steps", "2", "--batch", "1",
+                       "--context-len", "32", "--data-size", "1",
+                       "--report", str(report), "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["first_loss"] is None and doc["final_loss"] is None
+        lines = [json.loads(line, parse_constant=reject)
+                 for line in report.read_text().splitlines()]
+        assert [rec["loss"] for rec in lines[:-1]] == [None, None]
+
     def test_eval_niah_runs(self, workdir, capsys):
         rc = main(["eval-niah", "--model", str(workdir / "hybrid.ckpt"),
                    "--haystack-len", "24", "--items", "4", "--json"])
@@ -158,7 +182,40 @@ BAD_FLAGS = [
 ]
 
 
+# Each bad config file: the flag that reads it, the file's content, and an
+# argv in which the file replaces that flag's value.
+KV_REPORT = ["kv-report", "--layout", "{d}/layout.json", "--teacher-config",
+             "{d}/teacher.json", "--mla-config", "{d}/mla.json"]
+BAD_CONFIG_FILES = [
+    ("--config", {"d_model": 32, "n_layers": 4, "n_q_heads": 4, "n_kv_heads": 2,
+                  "head_dim": 8, "vocab": 64, "mlp_hidden": 64, "bogus": 1},
+     ["gen-teacher", "--config", "{d}/teacher.json", "--out", "{out}"]),
+    ("--layout", {"n_layers": 4}, KV_REPORT),
+    ("--mla-config", {"r_q": 0, "r_kv": 8, "d_qk_nope": 4, "d_qk_rope": 4,
+                      "d_v": 8, "n_heads": 4},
+     ["convert-mla", "--teacher", "{d}/t.ckpt", "--mla-config", "{d}/mla.json",
+      "--out", "{out}"]),
+    ("--teacher-config", {"d_model": 32, "n_layers": 0, "n_q_heads": 4,
+                          "n_kv_heads": 2, "head_dim": 8, "vocab": 64,
+                          "mlp_hidden": 64}, KV_REPORT),
+]
+
+
 class TestErrors:
+    @pytest.mark.parametrize("flag, content, argv", BAD_CONFIG_FILES,
+                             ids=[flag for flag, _, _ in BAD_CONFIG_FILES])
+    def test_bad_config_file_exits_one_naming_it(self, workdir, tmp_path, capsys,
+                                                flag, content, argv):
+        # An unknown key, a missing key and out-of-range values.
+        bad, out = tmp_path / "bad.json", tmp_path / "x.ckpt"
+        bad.write_text(json.dumps(content))
+        argv = [a.format(d=workdir, out=out) for a in argv]
+        argv[argv.index(flag) + 1] = str(bad)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and str(bad) in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS,
                              ids=[flag for _, flag in BAD_FLAGS])
     def test_bad_flag_value_exits_one_naming_it(self, workdir, tmp_path, capsys,

@@ -7,7 +7,7 @@ import pytest
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 from hybridkit.mla import (MlaConfig, default_mla_config, init_mla_from_teacher,
                            mla_backward, mla_forward, yarn_scale)
-from hybridkit.numerics import repeat_kv, rmsnorm
+from hybridkit.numerics import ATTN_BLOCK, repeat_kv, rmsnorm
 
 
 @pytest.fixture
@@ -88,6 +88,16 @@ class TestForward:
             assert np.allclose(c.latents, rmsnorm(x[:n] @ weights.w_kva.T,
                                                   weights.norm_kv, cfg.eps),
                                rtol=0, atol=1e-14)
+
+    def test_tape_holds_no_score_sized_array(self, weights, toy_mla_config, rng):
+        # The backward rebuilds attention probabilities from each row's
+        # log-sum-exp, so nothing the size of the (B, H, T, S) scores is taped.
+        B, T, H = 2, 2 * ATTN_BLOCK + 5, toy_mla_config.n_heads
+        tape = {}
+        mla_forward(weights, toy_mla_config, rng.normal(size=(B, T, 32)), tape=tape)
+        assert tape["lse"].shape == (B, H, T)
+        sizes = {k: a.size for k, a in tape.items() if isinstance(a, np.ndarray)}
+        assert max(sizes.values()) < B * H * T * T, sizes
 
     def test_nope_mode_shift_equivariant(self, toy_teacher, toy_mla_config, rng):
         cfg = copy.deepcopy(toy_mla_config)

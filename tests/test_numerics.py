@@ -21,17 +21,29 @@ def rmsnorm_oracle(x, gamma, eps):
 
 def attention_oracle(q, k, v, scale, offset):
     """One head, one query row at a time: softmax over keys [0, offset + t],
-    weight 0 on every later key."""
+    weight 0 on every later key. Returns (ctx, probs, lse)."""
     T, S = q.shape[0], k.shape[0]
-    probs = np.zeros((T, S))
+    probs, lse = np.zeros((T, S)), np.zeros(T)
     for t in range(T):
         n = offset + t + 1
-        scores = [scale * float(q[t] @ k[j]) for j in range(n)]
-        top = max(scores)
-        e = [np.exp(s - top) for s in scores]
-        for j in range(n):
-            probs[t, j] = e[j] / sum(e)
-    return probs @ v, probs
+        scores = scale * (k[:n] @ q[t])
+        top = scores.max()
+        e = np.exp(scores - top)
+        probs[t, :n] = e / e.sum()
+        lse[t] = top + np.log(e.sum())
+    return probs @ v, probs, lse
+
+
+def full_attention_backward(q, k, v, scale, offset, dctx):
+    """Adjoint of softmax attention over the whole (..., T, S) matrix."""
+    T, S = q.shape[-2], k.shape[-2]
+    scores = scale * q @ np.swapaxes(k, -1, -2)
+    scores += np.triu(np.full((T, S), -np.inf), k=1 + offset)
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    dp = dctx @ np.swapaxes(v, -1, -2)
+    ds = scale * p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+    return ds @ k, np.swapaxes(ds, -1, -2) @ q, np.swapaxes(p, -1, -2) @ dctx
 
 
 def conv_oracle(x, kernel):
@@ -158,33 +170,78 @@ class TestCausalConv:
         assert np.allclose(part, full[6:])
 
 
+# Draws for the attention kernel: T runs past three query blocks, with a ragged
+# last one, and offset = S - T cached keys before the first query.
+ATTENTION_DRAWS = dict(
+    B=st.integers(1, 2), H_kv=st.integers(1, 3), group=st.integers(1, 4),
+    T=st.integers(1, 3 * nm.ATTN_BLOCK + 5), prior=st.integers(0, 6),
+    d=st.integers(1, 6), seed=st.integers(0, 2 ** 16))
+
+
+def attention_inputs(B, H_kv, group, T, prior, d, seed):
+    rng = np.random.default_rng(seed)
+    S = T + prior
+    q = rng.normal(size=(B, H_kv * group, T, d))
+    k = rng.normal(size=(B, H_kv, S, d))
+    v = rng.normal(size=(B, H_kv, S, d + 1))
+    return rng, q, k, v, 1.0 / np.sqrt(d)
+
+
 class TestCausalAttention:
     @settings(max_examples=40)
-    @given(B=st.integers(1, 2), H_kv=st.integers(1, 3), group=st.integers(1, 4),
-           T=st.integers(1, 12), prior=st.integers(0, 6), d=st.integers(1, 6),
-           seed=st.integers(0, 2 ** 16))
+    @given(**ATTENTION_DRAWS)
     def test_grouped_heads_match_per_head_oracle(self, B, H_kv, group, T, prior,
                                                  d, seed):
-        rng = np.random.default_rng(seed)
-        S = T + prior
-        q = rng.normal(size=(B, H_kv * group, T, d))
-        k = rng.normal(size=(B, H_kv, S, d))
-        v = rng.normal(size=(B, H_kv, S, d + 1))
-        scale = 1.0 / np.sqrt(d)
+        _, q, k, v, scale = attention_inputs(B, H_kv, group, T, prior, d, seed)
+        S, H = T + prior, H_kv * group
         # Query head h reads KV head h // group through a broadcast axis.
-        ctx, probs = nm.causal_attention(q.reshape(B, H_kv, group, T, d),
-                                         k[:, :, None], v[:, :, None], scale,
-                                         offset=prior)
-        ctx = ctx.reshape(B, H_kv * group, T, d + 1)
-        probs = probs.reshape(B, H_kv * group, T, S)
-        for b, h in np.ndindex(B, H_kv * group):
-            want_ctx, want_probs = attention_oracle(q[b, h], k[b, h // group],
-                                                    v[b, h // group], scale, prior)
-            assert np.allclose(ctx[b, h], want_ctx, rtol=0, atol=1e-12)
-            assert np.allclose(probs[b, h], want_probs, rtol=0, atol=1e-12)
-        assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        ctx, lse = nm.causal_attention(q.reshape(B, H_kv, group, T, d),
+                                       k[:, :, None], v[:, :, None], scale,
+                                       offset=prior)
+        ctx = ctx.reshape(B, H, T, d + 1)
+        lse = lse.reshape(B, H, T)
         masked = np.triu(np.ones((T, S), dtype=bool), k=1 + prior)
-        assert np.all(probs[..., masked] == 0.0)
+        for b, h in np.ndindex(B, H):
+            kh = k[b, h // group]
+            want_ctx, want_probs, want_lse = attention_oracle(
+                q[b, h], kh, v[b, h // group], scale, prior)
+            assert np.allclose(ctx[b, h], want_ctx, rtol=0, atol=1e-12)
+            assert np.allclose(lse[b, h], want_lse, rtol=0, atol=1e-12)
+            # The probabilities the backward rebuilds from lse.
+            scores = np.where(masked, -np.inf, scale * q[b, h] @ kh.T)
+            probs = np.exp(scores - lse[b, h][:, None])
+            assert np.allclose(probs, want_probs, rtol=0, atol=1e-12)
+            assert np.allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert np.all(probs[masked] == 0.0)
+
+    @settings(max_examples=40)
+    @given(**ATTENTION_DRAWS)
+    def test_backward_matches_full_adjoint_and_central_differences(
+            self, B, H_kv, group, T, prior, d, seed):
+        rng, q, k, v, scale = attention_inputs(B, H_kv, group, T, prior, d, seed)
+        # The backward takes one key and value head per query head.
+        k, v = np.repeat(k, group, axis=1), np.repeat(v, group, axis=1)
+        weight = rng.normal(size=(B, H_kv * group, T, d + 1))
+        ctx, lse = nm.causal_attention(q, k, v, scale, prior)
+        delta = np.sum(weight * ctx, axis=-1)
+        grads = nm.causal_attention_backward(q, k, v, scale, prior, lse, delta,
+                                             weight)
+        want = full_attention_backward(q, k, v, scale, prior, weight)
+        for name, got, ref in zip(("dq", "dk", "dv"), grads, want):
+            assert np.allclose(got, ref, rtol=0, atol=1e-12), name
+
+        def loss(args):
+            return np.sum(weight * nm.causal_attention(*args, scale, prior)[0])
+
+        inputs, h = [q, k, v], 1e-6
+        for i, name in enumerate(("dq", "dk", "dv")):
+            direction = rng.normal(size=inputs[i].shape)
+            up, down = list(inputs), list(inputs)
+            up[i] = inputs[i] + h * direction
+            down[i] = inputs[i] - h * direction
+            fd = (loss(up) - loss(down)) / (2 * h)
+            an = np.sum(grads[i] * direction)
+            assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1.0), name
 
 
 class TestRepeatKv:

@@ -10,11 +10,15 @@ from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
                               hybrid_backward, hybrid_forward)
 from hybridkit.losses import kl_naive
+from hybridkit.numerics import ATTN_BLOCK
 from hybridkit.synthetic import (gen_ngram_corpus, niah_generate,
                                  niah_train_examples)
 from hybridkit.teacher import teacher_forward
 from hybridkit.train import (MAX_CONSECUTIVE_SKIPS, Adam, TrainConfig, grad_audit,
                              train_stage1_ild, train_stage2_sft)
+
+
+LONG = 2 * ATTN_BLOCK + 5
 
 
 @pytest.fixture
@@ -276,7 +280,12 @@ class TestGradAudit:
         ({}, (16,)), ({"gate_mode": True}, (16,)), ({"nope_mode": True}, (16,)),
         # yarn x4, with the sequence running past the original context
         ({"yarn_factor": 4.0, "orig_context": 8}, (16,)),
-        ({}, (2, 16))], ids=["plain", "gate", "nope", "yarn", "batched"])
+        ({}, (2, 16)),
+        # Three attention blocks, the last one ragged: the key and value
+        # gradients accumulated across blocks are audited too.
+        ({}, (LONG,)), ({}, (2, LONG))],
+        ids=["plain", "gate", "nope", "yarn", "batched", f"plain-{LONG}",
+             f"batched-{LONG}"])
     def test_mla_block_through_kd(self, toy_teacher, toy_mla_config, rng, flags,
                                   shape):
         cfg = replace(toy_mla_config, **flags)
