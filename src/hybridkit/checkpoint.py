@@ -6,7 +6,6 @@ Tensor naming: `layers.{i}.attn.{wq,wk,wv,wo}`, `layers.{i}.attn.{q_norm,k_norm}
 plus `embedding`, `final_norm`, `lm_head`.
 """
 
-import json
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -46,11 +45,6 @@ class TransformerConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TransformerConfig":
         return cls(**d)
-
-    @classmethod
-    def from_json_file(cls, path) -> "TransformerConfig":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
 
 
 @dataclass

@@ -16,11 +16,13 @@ update along k scales by 1 - beta |k|^2, so unit keys bound it in (0, 1)).
 The read is RMS-normalized per head, gated by SiLU(W_g x_t), and projected
 back to d.
 
-The chunked path is algebraically identical: within a chunk the per-step
-corrections u_t solve a unit-lower-triangular system (the compact WY form of
-the rank-1 update sequence), and the state crosses chunk boundaries once per
-chunk. All cross-step decay factors exp(b_t - b_s) use log-space cumulative
-sums and are <= 1, so the form is stable.
+The sequential path runs a sequence one token at a time through the decode
+step, `_gdn_token`, whose rank-1 update is `_delta_step`. The chunked path is
+algebraically identical: within a chunk the per-step corrections u_t solve a
+unit-lower-triangular system (the compact WY form of the rank-1 update
+sequence), and the state crosses chunk boundaries once per chunk. All
+cross-step decay factors exp(b_t - b_s) use log-space cumulative sums and
+are <= 1, so the form is stable.
 
 Dimensions follow d_k = floor(0.75 d), d_v = 2 d_k, head dims d_k/H and d_v/H.
 """
@@ -146,24 +148,27 @@ def l2norm_backward(x, dy):
 # Recurrence cores (head-batched; q/k: (T,H,dk), v: (T,H,dv), g/beta: (T,H))
 # ---------------------------------------------------------------------------
 
+def _delta_step(s, q, k, v, g, beta):
+    """One gated delta-rule step for every head: s (H, dk, dv), q and k
+    (H, dk), v (H, dv), g and beta (H,). Returns (read (H, dv), new state);
+    `s` is left as it was."""
+    s = np.exp(g)[:, None, None] * s                    # S~ = exp(g) S
+    u = v - np.matmul(k[:, None, :], s)[:, 0]           # v - S~^T k
+    u *= beta[:, None]
+    s += k[:, :, None] * u[:, None, :]
+    o = np.matmul(q[:, None, :], s)[:, 0]
+    o *= 1.0 / np.sqrt(q.shape[-1])
+    return o, s
+
+
 def delta_rule_sequential(q, k, v, g, beta, s0):
     """Token-by-token gated delta rule; returns (reads (T,H,dv), final state).
-    The reference the chunked core is tested against, and the decode step."""
-    T, H, dk = q.shape
-    dv = v.shape[-1]
-    inv_sqrt = 1.0 / np.sqrt(dk)
-    s = s0.copy()
-    o = np.empty((T, H, dv))
-    decay = np.exp(g)                       # (T, H)
-    qcol = q[:, :, :, None]                 # (T, H, dk, 1)
-    kcol = k[:, :, :, None]
-    for t in range(T):
-        s = decay[t][:, None, None] * s
-        kt = kcol[t]                        # (H, dk, 1)
-        r = np.matmul(kt.transpose(0, 2, 1), s)[:, 0]   # S~^T k, (H, dv)
-        u = beta[t][:, None] * (v[t] - r)
-        s = s + kt * u[:, None, :]
-        o[t] = np.matmul(qcol[t].transpose(0, 2, 1), s)[:, 0] * inv_sqrt
+    The reference the chunked core is tested against; it runs the decode
+    step's `_delta_step`."""
+    o = np.empty(v.shape)
+    s = s0
+    for t in range(q.shape[0]):
+        o[t], s = _delta_step(s, q[t], k[t], v[t], g[t], beta[t])
     return o, s
 
 
@@ -326,12 +331,10 @@ def _unfold_heads(x, B, T, H, dim):
     return x.reshape(T, B, H, dim).transpose(1, 0, 2, 3)
 
 
-def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape,
-                       core: str):
-    """The mixer body behind every entry point. x is one sequence (T, d),
-    optionally continued from `state`, or a batch (B, T, d) of fresh
-    sequences. Returns (y, carried GdnState); the state is None for a batch.
-    `core` is "chunked" or "sequential"; only the chunked core fills `tape`."""
+def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape):
+    """The chunked mixer body behind training and prefill. x is one sequence
+    (T, d), optionally continued from `state`, or a batch (B, T, d) of fresh
+    sequences. Returns (y, carried GdnState); the state is None for a batch."""
     single = x.ndim == 2
     xb = x[None] if single else x
     if not single and state is not None:
@@ -354,11 +357,8 @@ def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape,
     beta_core = np.ascontiguousarray(beta.transpose(1, 0, 2)).reshape(T, B * H)
     s0 = np.zeros((B * H, hk, hv)) if state is None else state.s
     core_tape = [] if tape is not None else None
-    if core == "chunked":
-        o_raw, s_new = delta_rule_chunked(qh, kh, vh, g_core, beta_core, s0,
-                                          tape=core_tape)
-    else:
-        o_raw, s_new = delta_rule_sequential(qh, kh, vh, g_core, beta_core, s0)
+    o_raw, s_new = delta_rule_chunked(qh, kh, vh, g_core, beta_core, s0,
+                                      tape=core_tape)
 
     gate_pre = xb @ w.w_g.T                         # (B, T, d_v)
     o_head = _unfold_heads(o_raw, B, T, H, hv)      # (B, T, H, hv)
@@ -385,27 +385,58 @@ def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape,
     return y[0], new_state
 
 
-# Three thin names over the one body: training, prefill and decode stay
-# distinct call sites, which perfbench/bench.py wraps by name for its trace.
+def _gdn_token(w: GdnBlockWeights, cfg: GdnConfig, x, state: GdnState | None):
+    """The mixer on one token x (d,) after `state` (None: a fresh sequence);
+    returns (y (d,), new GdnState) and leaves `state` as it was. A single
+    token needs no head fold, and projections are matvecs. q, k and v run
+    side by side: one conv window of the three stored raw projections plus
+    this token's, one contraction with the stacked kernels, one SiLU."""
+    if state is None:
+        state = GdnState.zeros(cfg)
+    H, d_k = cfg.n_heads, cfg.d_k
+    raw = np.concatenate((w.w_q @ x, w.w_k @ x, w.w_v @ x))
+    window = np.concatenate((np.concatenate(
+        (state.conv_q, state.conv_k, state.conv_v), axis=1), raw[None]))
+    kernel = np.concatenate((w.conv_q, w.conv_k, w.conv_v))
+    qkv = silu(np.einsum("kc,ck->c", window, kernel))
+    qk = l2norm(qkv[:2 * d_k].reshape(2 * H, -1))
+    g = -np.exp(w.a_log) * softplus(w.w_alpha @ x + w.dt_bias)
+    beta = sigmoid(w.w_beta @ x)
+    o, s = _delta_step(state.s, qk[:H], qk[H:], qkv[2 * d_k:].reshape(H, -1), g, beta)
+    o = rmsnorm(o, w.o_norm, 1e-6)
+    o *= silu(w.w_g @ x).reshape(H, -1)
+    history = window[1:]
+    return w.w_o @ o.reshape(-1), GdnState(s, history[:, :d_k], history[:, d_k:2 * d_k],
+                                          history[:, 2 * d_k:])
+
+
+# Three thin names: training, prefill and decode stay distinct call sites,
+# which perfbench/bench.py wraps by name for its trace.
 
 def gdn_forward_sequential(w: GdnBlockWeights, cfg: GdnConfig, x,
                            state: GdnState | None = None):
-    """Mixer forward with the token-by-token recurrence: the reference for the
-    chunked path and the cached decode step. Returns (output, state)."""
-    return _gdn_layer_forward(w, cfg, x, state, None, core="sequential")
+    """Mixer forward of one sequence x (T, d), token by token through the
+    decode step: the cached decode path, and the reference for the chunked
+    path. Returns (output, state)."""
+    if x.ndim != 2:
+        raise ValueError(f"the sequential path takes one sequence (T, d), got {x.shape}")
+    y = np.empty((x.shape[0], cfg.d))
+    for t in range(x.shape[0]):
+        y[t], state = _gdn_token(w, cfg, x[t], state)
+    return y, state
 
 
 def gdn_forward_chunked(w: GdnBlockWeights, cfg: GdnConfig, x,
                         state: GdnState | None = None):
     """Mixer forward with the chunk-parallel core, numerically equivalent to
     the sequential path. Returns (output, state)."""
-    return _gdn_layer_forward(w, cfg, x, state, None, core="chunked")
+    return _gdn_layer_forward(w, cfg, x, state, None)
 
 
 def gdn_forward_train(w: GdnBlockWeights, cfg: GdnConfig, x, tape: dict):
     """Training-path mixer forward: the chunk-parallel core with a gradient
     tape, for fresh sequences or batches."""
-    return _gdn_layer_forward(w, cfg, x, None, tape, core="chunked")
+    return _gdn_layer_forward(w, cfg, x, None, tape)
 
 
 def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):

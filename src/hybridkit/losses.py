@@ -111,15 +111,21 @@ def _kl_row_blocks(z_s, z_t, C: int, swap: bool, tag: str):
         c1 = min(c0 + C, T)
         record_alloc(tag, 2 * (c1 - c0) * V)
         lp_s, lp_t = log_softmax(z_s[c0:c1]), log_softmax(z_t[c0:c1])
+        # Everything below runs in place in lp_s, lp_t and grad's rows.
+        g = grad[c0:c1]
         if swap:
-            p_t = np.exp(lp_t)
-            d = np.sum(p_t * (lp_t - lp_s), axis=-1)
-            grad[c0:c1] = (np.exp(lp_s) - p_t) * scale
+            np.exp(lp_t, out=g)                         # p_t
+            lp_t -= lp_s
+            d = np.einsum("ij,ij->i", g, lp_t)
+            np.exp(lp_s, out=lp_s)                      # p_s
+            np.subtract(lp_s, g, out=g)
         else:
-            ell = lp_s - lp_t
-            p = np.exp(lp_s)
-            d = np.sum(p * ell, axis=-1)
-            grad[c0:c1] = p * (ell - d[:, None]) * scale
+            np.exp(lp_s, out=g)                         # p_s
+            lp_s -= lp_t                                # ell
+            d = np.einsum("ij,ij->i", g, lp_s)
+            lp_s -= d[:, None]
+            g *= lp_s
+        g *= scale
         total += float(np.sum(d))
     return total / T, grad
 

@@ -177,27 +177,64 @@ def _mla_rope_tables(cfg: MlaConfig, positions: np.ndarray):
     return rope_tables(inv_freq, positions, yarn_mscale(cfg.yarn_factor))
 
 
+def _check_position(cfg: MlaConfig, cache: MlaCache, position_offset: int,
+                    T: int) -> None:
+    if len(cache) and len(cache) != position_offset:
+        raise ValueError(f"cache holds {len(cache)} tokens, expected {position_offset}")
+    if not cfg.nope_mode and position_offset + T > cfg.max_context:
+        raise ValueError(
+            f"position {position_offset + T} exceeds rope table range {cfg.max_context}")
+
+
+def _mla_decode_step(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
+                     cache: MlaCache, pos: int):
+    """One token x (d,) at position `pos` in latent space (weight absorption):
+    w_kb folds into the query, so scores read the cached rows directly, and
+    w_vb maps the attended latent to each head's value. Returns (output
+    (1, d), cache extended by this token's row)."""
+    H, dn, r_kv = cfg.n_heads, cfg.d_qk_nope, cfg.r_kv
+    _check_position(cfg, cache, pos, 1)
+    cq = rmsnorm(w.w_qa @ x, w.norm_q, cfg.eps)
+    qn = (w.w_qb @ cq).reshape(H, 1, dn)
+    # Rows 0..H-1 are the query heads' rope parts, row H the shared rope key.
+    rope = np.concatenate((w.w_qr @ cq, w.w_kr @ x)).reshape(H + 1, -1)
+    if not cfg.nope_mode:
+        rope = apply_rope(rope, *_mla_rope_tables(cfg, np.array([pos])))
+    record_alloc("mla_cache", (len(cache) + 1) * cfg.cache_per_token)
+    row = np.concatenate((rmsnorm(w.w_kva @ x, w.norm_kv, cfg.eps), rope[H]))
+    kv = np.concatenate((cache.kv, row[None]))                  # (S, r_kv + dr)
+    q = np.concatenate((np.matmul(qn, w.w_kb.reshape(H, dn, r_kv))[:, 0], rope[:H]),
+                       axis=-1)
+    q *= 1.0 / np.sqrt(cfg.d_qk)
+    probs = softmax(q @ kv.T)                                   # (H, S)
+    ctx_lat = probs @ kv[:, :r_kv]                              # (H, r_kv)
+    ctx = np.matmul(w.w_vb.reshape(H, cfg.d_v, r_kv), ctx_lat[:, :, None])
+    out = w.w_o @ ctx.reshape(-1)
+    if cfg.gate_mode:
+        out *= sigmoid(w.w_gate @ x)
+    return out[None], MlaCache(kv, r_kv)
+
+
 def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
                 cache: MlaCache | None = None, position_offset: int = 0,
                 tape: dict | None = None):
     """Causal latent attention over x (T, d), or a fresh batch (B, T, d);
     returns (output, extended cache). With a cache, x holds new tokens
     starting at position_offset and attends over cached tokens plus itself;
-    caching and decode are single-sequence only (batched calls return None)."""
+    caching and decode are single-sequence only (batched calls return None).
+    One token without a tape takes the absorbed decode step."""
     single = x.ndim == 2
-    xb = x[None] if single else x
-    B, T = xb.shape[0], xb.shape[1]
-    H, dn, dr, dv = cfg.n_heads, cfg.d_qk_nope, cfg.d_qk_rope, cfg.d_v
     if not single and (cache is not None or position_offset):
         raise ValueError("cached decode requires a single sequence")
     if cache is None:
         cache = MlaCache.empty(cfg)
-    if len(cache) and len(cache) != position_offset:
-        raise ValueError(f"cache holds {len(cache)} tokens, expected {position_offset}")
+    if single and x.shape[0] == 1 and tape is None:
+        return _mla_decode_step(w, cfg, x[0], cache, position_offset)
+    xb = x[None] if single else x
+    B, T = xb.shape[0], xb.shape[1]
+    H, dn, dr, dv = cfg.n_heads, cfg.d_qk_nope, cfg.d_qk_rope, cfg.d_v
+    _check_position(cfg, cache, position_offset, T)
     n_prior = len(cache)
-    if not cfg.nope_mode and position_offset + T > cfg.max_context:
-        raise ValueError(
-            f"position {position_offset + T} exceeds rope table range {cfg.max_context}")
 
     positions = np.arange(position_offset, position_offset + T)
     cos, sin = _mla_rope_tables(cfg, positions)
@@ -220,25 +257,14 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
     S = kv.shape[1]
     ckv, rope_keys = kv[..., :cfg.r_kv], kv[..., cfg.r_kv:]
 
-    scale = 1.0 / np.sqrt(cfg.d_qk)
-    if single and T == 1 and tape is None:
-        # Absorbed step: w_kb folds into the query, so scores read the cached
-        # rows directly, and w_vb maps the attended latent to each head's value.
-        q_lat = np.matmul(qn[0, 0, :, None, :], w.w_kb.reshape(H, dn, -1))[:, 0]
-        q = np.concatenate([q_lat, qr[0, 0]], axis=-1) * scale     # (H, r_kv + dr)
-        probs = softmax(q @ kv[0].T)                                # (H, S)
-        ctx_lat = probs @ ckv[0]                                    # (H, r_kv)
-        ctx = np.matmul(w.w_vb.reshape(H, dv, -1), ctx_lat[:, :, None])
-        ctx2 = ctx.reshape(B, T, H * dv)
-    else:
-        # Expanded form: per-head keys [k^nope | shared k^rope] and values.
-        kn = (ckv @ w.w_kb.T).reshape(B, S, H, dn)
-        kr = np.broadcast_to(rope_keys[:, :, None], (B, S, H, dr))
-        q_h = np.concatenate([qn, qr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, T, d_qk)
-        k_h = np.concatenate([kn, kr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, S, d_qk)
-        v_h = (ckv @ w.w_vb.T).reshape(B, S, H, dv).transpose(0, 2, 1, 3)
-        ctx, lse = causal_attention(q_h, k_h, v_h, scale, n_prior)  # (B, H, T, dv)
-        ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
+    # Per-head keys [k^nope | shared k^rope] and values.
+    kn = (ckv @ w.w_kb.T).reshape(B, S, H, dn)
+    kr = np.broadcast_to(rope_keys[:, :, None], (B, S, H, dr))
+    q_h = np.concatenate([qn, qr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, T, d_qk)
+    k_h = np.concatenate([kn, kr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, S, d_qk)
+    v_h = (ckv @ w.w_vb.T).reshape(B, S, H, dv).transpose(0, 2, 1, 3)
+    ctx, lse = causal_attention(q_h, k_h, v_h, 1.0 / np.sqrt(cfg.d_qk), n_prior)
+    ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
     out = out_ungated = ctx2 @ w.w_o.T
 
     gate_pre = None

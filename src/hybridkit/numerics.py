@@ -26,11 +26,18 @@ def check_finite(x: Array, what: str) -> Array:
 # ---------------------------------------------------------------------------
 
 def sigmoid(x: Array) -> Array:
-    return 0.5 * np.tanh(0.5 * x) + 0.5
+    """0.5 tanh(x / 2) + 0.5, computed in place in one new buffer."""
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s *= 0.5
+    s += 0.5
+    return s
 
 
 def silu(x: Array) -> Array:
-    return x * sigmoid(x)
+    s = sigmoid(x)
+    s *= x
+    return s
 
 
 def silu_grad(x: Array) -> Array:
@@ -53,9 +60,9 @@ def inverse_softplus(y: Array) -> Array:
 def softmax(x: Array) -> Array:
     """Exponentiates and divides in place, so the result is the only
     x-sized buffer."""
-    e = x - np.max(x, axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.sum(e, axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
@@ -145,8 +152,14 @@ def rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
     gamma = np.asarray(gamma, dtype=np.float64)
     if x.shape[-1] != gamma.shape[-1]:
         raise ValueError(f"gamma length {gamma.shape[-1]} != last axis {x.shape[-1]}")
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    return x * inv * gamma
+    # The mean square through einsum, then in place: no x-sized temporaries.
+    rms = np.einsum("...i,...i->...", x, x)[..., None]
+    rms /= x.shape[-1]
+    rms += eps
+    np.sqrt(rms, out=rms)
+    out = x / rms
+    out *= gamma
+    return out
 
 
 def rmsnorm_backward(x: Array, gamma: Array, eps: float, dy: Array):

@@ -130,4 +130,4 @@ class TestTeacherCheckpoint:
     def test_config_json_round_trip(self, tmp_path, toy_config):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(toy_config.to_dict()))
-        assert TransformerConfig.from_json_file(path) == toy_config
+        assert TransformerConfig.from_dict(json.loads(path.read_text())) == toy_config

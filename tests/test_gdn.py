@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
-from hybridkit.gdn import (GdnBlockWeights, GdnConfig, GdnState,
+from hybridkit.gdn import (CHUNK, GdnBlockWeights, GdnConfig, GdnState,
                            delta_rule_chunked, delta_rule_chunked_backward,
                            delta_rule_sequential,
                            gdn_forward_chunked, gdn_forward_sequential,
@@ -125,6 +125,17 @@ class TestLayerForward:
             outs.append(y)
         assert np.max(np.abs(np.concatenate(outs) - full)) < 1e-10
 
+    def test_step_leaves_its_input_state_unchanged(self, weights, toy_gdn_config, rng):
+        x = rng.normal(size=(6, 32))
+        _, state = gdn_forward_chunked(weights, toy_gdn_config, x[:5])
+        first, after_first = gdn_forward_sequential(weights, toy_gdn_config, x[5:],
+                                                    state=state)
+        second, after_second = gdn_forward_sequential(weights, toy_gdn_config, x[5:],
+                                                      state=state)
+        assert np.array_equal(first, second)
+        for name in ("s", "conv_q", "conv_k", "conv_v"):
+            assert np.array_equal(getattr(after_first, name), getattr(after_second, name))
+
     def test_hand_evaluated_single_token(self, toy_teacher):
         tc = TransformerConfig(d_model=4, n_layers=1, n_q_heads=1, n_kv_heads=1,
                                head_dim=4, vocab=16, mlp_hidden=8)
@@ -209,6 +220,33 @@ class TestProperties:
         for name in ("conv_q", "conv_k", "conv_v"):
             assert np.allclose(getattr(last, name), getattr(end, name),
                                rtol=0, atol=1e-12)
+
+    @settings(max_examples=30)
+    @given(data=st.data(), n_steps=st.integers(1, 12), H=st.sampled_from([1, 2, 4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_chunked_prefix_then_decode_steps_equal_chunked(self, toy_teacher, data,
+                                                            n_steps, H, seed):
+        # P = 0 starts the steps from no state, P < 3 from a conv history the
+        # prefix only partly filled, and P near CHUNK from a prefix that ends
+        # on either side of a chunk boundary.
+        P = data.draw(st.one_of(st.sampled_from([0, 1, 2]),
+                                st.integers(CHUNK - 2, 2 * CHUNK + 2)), label="P")
+        cfg = GdnConfig(d=32, n_heads=H)
+        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg,
+                                  seed=seed % 1000)
+        x = np.random.default_rng(seed).normal(size=(P + n_steps, 32))
+        full, end = gdn_forward_chunked(w, cfg, x)
+        outs, state = [], None
+        if P:
+            y, state = gdn_forward_chunked(w, cfg, x[:P])
+            outs.append(y)
+        for t in range(P, P + n_steps):
+            y, state = gdn_forward_sequential(w, cfg, x[t:t + 1], state=state)
+            outs.append(y)
+        scale = np.max(np.abs(full))
+        assert np.max(np.abs(np.concatenate(outs) - full)) / scale < 1e-10
+        for name in ("s", "conv_q", "conv_k", "conv_v"):
+            assert np.max(np.abs(getattr(state, name) - getattr(end, name))) < 1e-10
 
 
 class TestInit:

@@ -58,7 +58,8 @@ class TestForward:
 
     @pytest.mark.parametrize("flags", [
         {}, {"nope_mode": True}, {"gate_mode": True},
-        {"yarn_factor": 4.0, "orig_context": 4}])
+        {"yarn_factor": 4.0, "orig_context": 4}, {"yarn_factor": 2.0},
+        {"gate_mode": True, "nope_mode": True}])
     def test_single_token_step_matches_prefill_rows(self, toy_teacher, toy_mla_config,
                                                     rng, flags):
         # The cached one-token step attends in latent space; prefill expands
@@ -127,6 +128,13 @@ class TestForward:
         cfg.orig_context = 8
         with pytest.raises(ValueError, match="exceeds"):
             mla_forward(weights, cfg, rng.normal(size=(9, 32)))
+        # Through the one-token step: the last position is max_context - 1.
+        x = rng.normal(size=(9, 32))
+        _, cache = mla_forward(weights, cfg, x[:7])
+        _, cache = mla_forward(weights, cfg, x[7:8], cache=cache, position_offset=7)
+        assert len(cache) == cfg.max_context
+        with pytest.raises(ValueError, match="position 9 exceeds rope table range 8"):
+            mla_forward(weights, cfg, x[8:9], cache=cache, position_offset=8)
 
 
 class TestInit:
