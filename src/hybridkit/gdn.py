@@ -27,6 +27,7 @@ are <= 1, so the form is stable.
 Dimensions follow d_k = floor(0.75 d), d_v = 2 d_k, head dims d_k/H and d_v/H.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,7 +146,8 @@ def l2norm_backward(x, dy):
 
 
 # ---------------------------------------------------------------------------
-# Recurrence cores (head-batched; q/k: (T,H,dk), v: (T,H,dv), g/beta: (T,H))
+# Recurrence cores (head-major, N = batch x heads; q/k: (N,T,dk), v: (N,T,dv),
+# g/beta: (N,T))
 # ---------------------------------------------------------------------------
 
 def _delta_step(s, q, k, v, g, beta):
@@ -162,13 +164,13 @@ def _delta_step(s, q, k, v, g, beta):
 
 
 def delta_rule_sequential(q, k, v, g, beta, s0):
-    """Token-by-token gated delta rule; returns (reads (T,H,dv), final state).
+    """Token-by-token gated delta rule; returns (reads (N,T,dv), final state).
     The reference the chunked core is tested against; it runs the decode
     step's `_delta_step`."""
     o = np.empty(v.shape)
     s = s0
-    for t in range(q.shape[0]):
-        o[t], s = _delta_step(s, q[t], k[t], v[t], g[t], beta[t])
+    for t in range(q.shape[1]):
+        o[:, t], s = _delta_step(s, q[:, t], k[:, t], v[:, t], g[:, t], beta[:, t])
     return o, s
 
 
@@ -176,41 +178,38 @@ def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int = CHUNK,
                        tape: list | None = None):
     """Chunk-parallel equivalent of the sequential rule. Within a chunk the
     per-step corrections solve a unit-lower-triangular system; the state
-    crosses chunk boundaries once per chunk."""
-    T, H, dk = q.shape
-    dv = v.shape[-1]
+    crosses chunk boundaries once per chunk. A chunk is the slice [:, c0:c1]
+    of each input, so the tape holds views, not copies."""
+    N, T, dk = q.shape
     inv_sqrt = 1.0 / np.sqrt(dk)
-    s = s0.copy()                       # (H, dk, dv)
-    o = np.empty((T, H, dv))
+    s = s0.copy()                       # (N, dk, dv)
+    o = np.empty(v.shape)
     for c0 in range(0, T, chunk):
         c1 = min(c0 + chunk, T)
         C = c1 - c0
-        qc = np.ascontiguousarray(q[c0:c1].transpose(1, 0, 2))  # (H, C, dk)
-        kc = np.ascontiguousarray(k[c0:c1].transpose(1, 0, 2))
-        vc = np.ascontiguousarray(v[c0:c1].transpose(1, 0, 2))  # (H, C, dv)
-        bc = beta[c0:c1].T                      # (H, C)
-        b = np.cumsum(g[c0:c1].T, axis=1)       # (H, C) log-decay from chunk start
+        qc, kc, vc, bc = q[:, c0:c1], k[:, c0:c1], v[:, c0:c1], beta[:, c0:c1]
+        b = np.cumsum(g[:, c0:c1], axis=1)      # (N, C) log-decay from chunk start
 
         # Pairwise decay exp(b_t - b_s), zeroed above the diagonal. Mask in
         # log space: upper-triangle differences are positive and may overflow.
-        db = b[:, :, None] - b[:, None, :]      # (H, C, C)
+        db = b[:, :, None] - b[:, None, :]      # (N, C, C)
         incl = np.tril(np.ones((C, C), dtype=bool))
         decay_incl = np.exp(np.where(incl, db, -np.inf))
         decay_strict = np.tril(decay_incl, -1)
-        eb = np.exp(b)                          # (H, C)
-        tail = np.exp(b[:, -1][:, None] - b)    # (H, C) exp(b_C - b_s) <= 1
+        eb = np.exp(b)                          # (N, C)
+        tail = np.exp(b[:, -1][:, None] - b)    # (N, C) exp(b_C - b_s) <= 1
 
         kk = np.matmul(kc, kc.transpose(0, 2, 1))
         A = np.eye(C) + bc[:, :, None] * decay_strict * kk
-        ks = np.matmul(kc, s)                   # (H, C, dv)
+        ks = np.matmul(kc, s)                   # (N, C, dv)
         rhs = bc[:, :, None] * (vc - eb[:, :, None] * ks)
-        u = np.linalg.solve(A, rhs)             # (H, C, dv) per-step corrections
+        u = np.linalg.solve(A, rhs)             # (N, C, dv) per-step corrections
 
         qs = np.matmul(qc, s)
         qk = np.matmul(qc, kc.transpose(0, 2, 1))
         p = decay_incl * qk
         o_c = eb[:, :, None] * qs + np.matmul(p, u)
-        o[c0:c1] = (o_c * inv_sqrt).transpose(1, 0, 2)
+        o[:, c0:c1] = o_c * inv_sqrt
 
         if tape is not None:
             tape.append(dict(qc=qc, kc=kc, vc=vc, bc=bc, b=b, eb=eb, tail=tail,
@@ -226,44 +225,44 @@ def delta_rule_chunked_backward(tape: list, do):
     """Adjoint of delta_rule_chunked; `do` is the gradient wrt the raw reads
     (pre 1/sqrt scaling applied here, matching the forward)."""
     first = tape[0]
-    H, _, dk = first["qc"].shape
+    N, _, dk = first["qc"].shape
     dv_dim = first["u"].shape[-1]
-    T = do.shape[0]
+    T = do.shape[1]
     inv_sqrt = 1.0 / np.sqrt(dk)
 
-    dq = np.empty((T, H, dk))
-    dk_out = np.empty((T, H, dk))
-    dv_out = np.empty((T, H, dv_dim))
-    dg = np.empty((T, H))
-    ds = np.zeros((H, dk, dv_dim))
-    dbeta = np.empty((T, H))
+    dq = np.empty((N, T, dk))
+    dk_out = np.empty((N, T, dk))
+    dv_out = np.empty((N, T, dv_dim))
+    dg = np.empty((N, T))
+    ds = np.zeros((N, dk, dv_dim))
+    dbeta = np.empty((N, T))
 
     for ch in reversed(tape):
         c0, c1 = ch["span"]
         C = c1 - c0
         qc, kc, vc, bc = ch["qc"], ch["kc"], ch["vc"], ch["bc"]
         eb, tail, u, s_in = ch["eb"], ch["tail"], ch["u"], ch["s_in"]
-        do_c = np.ascontiguousarray(do[c0:c1].transpose(1, 0, 2)) * inv_sqrt
+        do_c = do[:, c0:c1] * inv_sqrt
 
-        db = np.zeros((H, C))
+        db = np.zeros((N, C))
         # S_out = exp(b_C) S_in + K^T (tail * U)
         ds_in = np.exp(ch["b"][:, -1])[:, None, None] * ds
         db[:, -1] += np.exp(ch["b"][:, -1]) * np.sum(ds * s_in, axis=(1, 2))
-        dw = np.matmul(kc, ds)                              # (H, C, dv)
+        dw = np.matmul(kc, ds)                              # (N, C, dv)
         dkc = np.matmul(tail[:, :, None] * u, ds.transpose(0, 2, 1))
         du = tail[:, :, None] * dw
-        dtail = np.sum(dw * u, axis=-1)                     # (H, C)
+        dtail = np.sum(dw * u, axis=-1)                     # (N, C)
         db -= dtail * tail
         db[:, -1] += np.sum(dtail * tail, axis=-1)
 
         # O = eb * (Q S_in) + P U  with P = D_inc * (Q K^T)
-        dqc = eb[:, :, None] * np.matmul(do_c, s_in.transpose(0, 2, 1))
+        dq[:, c0:c1] = eb[:, :, None] * np.matmul(do_c, s_in.transpose(0, 2, 1))
         ds_in += np.matmul((eb[:, :, None] * qc).transpose(0, 2, 1), do_c)
         db += eb * np.sum(do_c * ch["qs"], axis=-1)
-        dp = np.matmul(do_c, u.transpose(0, 2, 1))          # (H, C, C)
+        dp = np.matmul(do_c, u.transpose(0, 2, 1))          # (N, C, C)
         du += np.matmul((ch["decay_incl"] * ch["qk"]).transpose(0, 2, 1), do_c)
         dqk = dp * ch["decay_incl"]
-        dqc += np.matmul(dqk, kc)
+        dq[:, c0:c1] += np.matmul(dqk, kc)
         dkc += np.matmul(dqk.transpose(0, 2, 1), qc)
         e_inc = dqk * ch["qk"]                              # dD_inc * D_inc
         db += e_inc.sum(axis=2) - e_inc.sum(axis=1)
@@ -275,8 +274,8 @@ def delta_rule_chunked_backward(tape: list, do):
 
         # R = beta * (V - eb * (K S_in))
         core = vc - eb[:, :, None] * ch["ks"]
-        dbeta_c = np.sum(dr * core, axis=-1)
-        dv_c = bc[:, :, None] * dr
+        dbeta[:, c0:c1] = np.sum(dr * core, axis=-1)
+        dv_out[:, c0:c1] = bc[:, :, None] * dr
         m = -(bc * eb)[:, :, None] * dr
         db -= bc * eb * np.sum(dr * ch["ks"], axis=-1)
         dkc += np.matmul(m, s_in.transpose(0, 2, 1))
@@ -284,19 +283,15 @@ def delta_rule_chunked_backward(tape: list, do):
 
         # A = I + beta * D_str * (K K^T)
         da_str = dA * ch["decay_strict"]
-        dbeta_c += np.sum(da_str * ch["kk"], axis=-1)
+        dbeta[:, c0:c1] += np.sum(da_str * ch["kk"], axis=-1)
         dkk = bc[:, :, None] * da_str
         dkc += np.matmul(dkk + dkk.transpose(0, 2, 1), kc)
         e_str = dkk * ch["kk"]
         db += e_str.sum(axis=2) - e_str.sum(axis=1)
 
         # b = cumsum(g) within the chunk
-        dg_c = np.cumsum(db[:, ::-1], axis=1)[:, ::-1]
-        dq[c0:c1] = dqc.transpose(1, 0, 2)
-        dk_out[c0:c1] = dkc.transpose(1, 0, 2)
-        dv_out[c0:c1] = dv_c.transpose(1, 0, 2)
-        dg[c0:c1] = dg_c.T
-        dbeta[c0:c1] = dbeta_c.T
+        dg[:, c0:c1] = np.cumsum(db[:, ::-1], axis=1)[:, ::-1]
+        dk_out[:, c0:c1] = dkc
         ds = ds_in
     return dq, dk_out, dv_out, dg, dbeta
 
@@ -320,15 +315,16 @@ def _project_qkv(w: GdnBlockWeights, x, state: GdnState | None, tape: dict | Non
     return silu(q1), silu(k1), silu(v1), (q0, k0, v0)
 
 
-def _fold_heads(x, B, T, H, dim):
-    """(B, T, H*dim) -> (T, B*H, dim): batch folds into the core's head axis."""
-    return np.ascontiguousarray(
-        x.reshape(B, T, H, dim).transpose(1, 0, 2, 3)).reshape(T, B * H, dim)
+def _fold_heads(x):
+    """(B, T, H, ...) -> (B*H, T, ...): batch and heads fold into the core's
+    leading axis."""
+    B, T, H = x.shape[:3]
+    return x.swapaxes(1, 2).reshape(B * H, T, *x.shape[3:])
 
 
-def _unfold_heads(x, B, T, H, dim):
-    """(T, B*H, dim) -> (B, T, H, dim)."""
-    return x.reshape(T, B, H, dim).transpose(1, 0, 2, 3)
+def _unfold_heads(x, B):
+    """(B*H, T, ...) -> (B, T, H, ...), a view."""
+    return x.reshape(B, -1, *x.shape[1:]).swapaxes(1, 2)
 
 
 def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape):
@@ -348,41 +344,35 @@ def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape):
     beta = sigmoid(xb @ w.w_beta.T)                 # (B, T, H), in (0, 1)
 
     # Unit-norm keys keep the delta-rule write contractive for any beta.
-    q_pre = _fold_heads(q, B, T, H, hk)
-    k_pre = _fold_heads(k, B, T, H, hk)
-    qh = l2norm(q_pre)
-    kh = l2norm(k_pre)
-    vh = _fold_heads(v, B, T, H, hv)
-    g_core = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(T, B * H)
-    beta_core = np.ascontiguousarray(beta.transpose(1, 0, 2)).reshape(T, B * H)
+    q_pre = _fold_heads(q.reshape(B, T, H, hk))
+    k_pre = _fold_heads(k.reshape(B, T, H, hk))
     s0 = np.zeros((B * H, hk, hv)) if state is None else state.s
     core_tape = [] if tape is not None else None
-    o_raw, s_new = delta_rule_chunked(qh, kh, vh, g_core, beta_core, s0,
-                                      tape=core_tape)
+    o_raw, s_new = delta_rule_chunked(
+        l2norm(q_pre), l2norm(k_pre), _fold_heads(v.reshape(B, T, H, hv)),
+        _fold_heads(g), _fold_heads(beta), s0, tape=core_tape)
 
     gate_pre = xb @ w.w_g.T                         # (B, T, d_v)
-    o_head = _unfold_heads(o_raw, B, T, H, hv)      # (B, T, H, hv)
+    o_head = _unfold_heads(o_raw, B)                # (B, T, H, hv)
     o_n = rmsnorm(o_head, w.o_norm, 1e-6)
     gated = o_n * silu(gate_pre).reshape(B, T, H, hv)
     y = gated.reshape(B, T, cfg.d_v) @ w.w_o.T
 
     if tape is not None:
-        tape.update(x=xb, q_pre=q_pre, k_pre=k_pre, g=g_core, beta=beta_core,
+        tape.update(x=xb, q_pre=q_pre, k_pre=k_pre, g=g, beta=beta,
                     a_pre=a_pre, gate_pre=gate_pre, o_head=o_head, o_n=o_n,
                     gated=gated, core=core_tape)
 
     if not single:
         return y, None
 
-    def tail(raw, prev):
-        if T >= CONV_WIDTH - 1:
-            return raw[0, T - (CONV_WIDTH - 1):].copy()
-        return np.concatenate([prev[T:], raw[0]], axis=0)
-
+    # Carry the last CONV_WIDTH - 1 raw projections, the older ones from
+    # `prev` when T is shorter than that.
     prev = state if state is not None else GdnState.zeros(cfg)
-    new_state = GdnState(s=s_new, conv_q=tail(q0, prev.conv_q),
-                         conv_k=tail(k0, prev.conv_k), conv_v=tail(v0, prev.conv_v))
-    return y[0], new_state
+    return y[0], GdnState(s_new,
+                          np.concatenate((prev.conv_q[T:], q0[0, 1 - CONV_WIDTH:])),
+                          np.concatenate((prev.conv_k[T:], k0[0, 1 - CONV_WIDTH:])),
+                          np.concatenate((prev.conv_v[T:], v0[0, 1 - CONV_WIDTH:])))
 
 
 def _gdn_token(w: GdnBlockWeights, cfg: GdnConfig, x, state: GdnState | None):
@@ -446,7 +436,7 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     single = dy.ndim == 2
     dyb = dy[None] if single else dy
     B, T = x.shape[0], x.shape[1]
-    H, hk, hv = cfg.n_heads, cfg.head_k, cfg.head_v
+    H, hv = cfg.n_heads, cfg.head_v
     x_flat = x.reshape(B * T, -1)
     grads = {}
 
@@ -460,37 +450,29 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     dx = dgate_pre @ w.w_g
 
     do_head, grads["o_norm"] = rmsnorm_backward(tape["o_head"], w.o_norm, 1e-6, do_n)
-    do_core = np.ascontiguousarray(
-        do_head.transpose(1, 0, 2, 3)).reshape(T, B * H, hv)
-
-    g, beta = tape["g"], tape["beta"]
-    dq, dk, dv, dg, dbeta = delta_rule_chunked_backward(tape["core"], do_core)
+    dq, dk, dv, dg, dbeta = delta_rule_chunked_backward(tape["core"],
+                                                        _fold_heads(do_head))
     dq = l2norm_backward(tape["q_pre"], dq)
     dk = l2norm_backward(tape["k_pre"], dk)
-
-    dg_b = _unfold_heads(dg[:, :, None], B, T, H, 1)[..., 0]      # (B, T, H)
-    dbeta_b = _unfold_heads(dbeta[:, :, None], B, T, H, 1)[..., 0]
+    dg, dbeta = _unfold_heads(dg, B), _unfold_heads(dbeta, B)     # (B, T, H)
 
     # Forget gate g = -exp(a_log) * softplus(a_pre), so dg/da_log = g.
-    g_b = _unfold_heads(g[:, :, None], B, T, H, 1)[..., 0]
-    grads["a_log"] = np.sum((dg_b * g_b).reshape(B * T, H), axis=0)
-    da_pre = dg_b * (-np.exp(w.a_log)) * sigmoid(tape["a_pre"])
+    g, beta = tape["g"], tape["beta"]
+    grads["a_log"] = np.sum((dg * g).reshape(B * T, H), axis=0)
+    da_pre = dg * (-np.exp(w.a_log)) * sigmoid(tape["a_pre"])
     grads["dt_bias"] = np.sum(da_pre.reshape(B * T, H), axis=0)
     grads["w_alpha"] = da_pre.reshape(B * T, H).T @ x_flat
     dx += da_pre @ w.w_alpha
 
-    beta_b = _unfold_heads(beta[:, :, None], B, T, H, 1)[..., 0]
-    db_pre = dbeta_b * beta_b * (1.0 - beta_b)
+    db_pre = dbeta * beta * (1.0 - beta)
     grads["w_beta"] = db_pre.reshape(B * T, H).T @ x_flat
     dx += db_pre @ w.w_beta
 
     # Through SiLU and the causal convs back to the raw projections.
-    for name, dpost, dim, conv_w, proj_w in (
-            ("q", dq, hk, w.conv_q, w.w_q),
-            ("k", dk, hk, w.conv_k, w.w_k),
-            ("v", dv, hv, w.conv_v, w.w_v)):
-        dflat = _unfold_heads(dpost, B, T, H, dim).reshape(B, T, H * dim)
-        d1 = dflat * silu_grad(tape[f"{name}1"])
+    for name, dpost, conv_w, proj_w in (("q", dq, w.conv_q, w.w_q),
+                                        ("k", dk, w.conv_k, w.w_k),
+                                        ("v", dv, w.conv_v, w.w_v)):
+        d1 = _unfold_heads(dpost, B).reshape(B, T, -1) * silu_grad(tape[f"{name}1"])
         d0, dconv = causal_conv1d_backward(tape[f"{name}0"], conv_w, d1)
         grads[f"conv_{name}"] = dconv
         grads[f"w_{name}"] = d0.reshape(B * T, -1).T @ x_flat
@@ -555,10 +537,4 @@ def init_gdn_from_teacher(layer: TeacherLayer, teacher_cfg: TransformerConfig,
 
 def gdn_param_count(cfg: GdnConfig) -> int:
     """Exact mixer parameter count (projections, gates, decays, convs, norm)."""
-    d, d_k, d_v, H = cfg.d, cfg.d_k, cfg.d_v, cfg.n_heads
-    return (2 * d_k * d            # w_q, w_k
-            + 3 * d_v * d          # w_v, w_g, w_o
-            + 2 * H * d            # w_alpha, w_beta
-            + 2 * H                # a_log, dt_bias
-            + (2 * d_k + d_v) * CONV_WIDTH
-            + cfg.head_v)          # output norm gamma
+    return sum(math.prod(shape) for shape in GdnBlockWeights.shapes(cfg).values())

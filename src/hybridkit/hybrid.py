@@ -204,7 +204,7 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
                                        position_offset=position_offset, tape=tape)
         elif taping:
             a, new_cache = gdn_forward_train(ly.mixer, model.gdn_cfg, x, tape)
-        elif single and position_offset > 0:
+        elif single and position_offset > 0 and tokens.size == 1:
             a, new_cache = gdn_forward_sequential(ly.mixer, model.gdn_cfg, x,
                                                   state=cache)
         else:

@@ -26,6 +26,7 @@ output projection is truncated column-wise.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,10 +172,18 @@ class MlaCache:
         return self.kv.shape[0]
 
 
+@lru_cache
+def _yarn_frequencies(dim: int, theta: float, factor: float, orig_context: int):
+    """(read-only inverse frequencies, mscale), computed once per rope setup."""
+    inv_freq = yarn_inv_freq(dim, theta, factor, orig_context)
+    inv_freq.flags.writeable = False
+    return inv_freq, yarn_mscale(factor)
+
+
 def _mla_rope_tables(cfg: MlaConfig, positions: np.ndarray):
-    inv_freq = yarn_inv_freq(cfg.d_qk_rope, cfg.rope_theta, cfg.yarn_factor,
-                             cfg.orig_context)
-    return rope_tables(inv_freq, positions, yarn_mscale(cfg.yarn_factor))
+    inv_freq, mscale = _yarn_frequencies(cfg.d_qk_rope, cfg.rope_theta,
+                                         cfg.yarn_factor, cfg.orig_context)
+    return rope_tables(inv_freq, positions, mscale)
 
 
 def _check_position(cfg: MlaConfig, cache: MlaCache, position_offset: int,

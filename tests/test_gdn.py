@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
+from hybridkit import gdn as gdn_module
 from hybridkit.gdn import (CHUNK, GdnBlockWeights, GdnConfig, GdnState,
                            delta_rule_chunked, delta_rule_chunked_backward,
-                           delta_rule_sequential,
+                           delta_rule_sequential, gdn_backward,
                            gdn_forward_chunked, gdn_forward_sequential,
-                           gdn_param_count, init_gdn_from_teacher, l2norm)
+                           gdn_forward_train, gdn_param_count,
+                           init_gdn_from_teacher, l2norm)
 from hybridkit.numerics import repeat_kv, rmsnorm, silu
 
 
@@ -22,11 +24,11 @@ def weights(toy_teacher, toy_gdn_config):
 
 def random_core_inputs(seed, T, H=2, dk=6, dv=12, scale=0.5):
     rng = np.random.default_rng(seed)
-    return (rng.normal(size=(T, H, dk)) * scale,
-            rng.normal(size=(T, H, dk)) * scale,
-            rng.normal(size=(T, H, dv)) * scale,
-            -np.abs(rng.normal(size=(T, H)) * 0.1) - 1e-3,
-            1.0 / (1.0 + np.exp(-rng.normal(size=(T, H)))),
+    return (rng.normal(size=(H, T, dk)) * scale,
+            rng.normal(size=(H, T, dk)) * scale,
+            rng.normal(size=(H, T, dv)) * scale,
+            -np.abs(rng.normal(size=(H, T)) * 0.1) - 1e-3,
+            1.0 / (1.0 + np.exp(-rng.normal(size=(H, T)))),
             np.zeros((H, dk, dv)))
 
 
@@ -60,13 +62,13 @@ class TestRecurrenceCore:
         k1 = rng.normal(size=dk)
         k1 /= np.linalg.norm(k1)
         v1 = rng.normal(size=dv)
-        q = np.stack([k1, k1])[:, None, :]
-        k = np.stack([k1, k1])[:, None, :]
-        v = np.stack([v1, v1])[:, None, :]
-        g = np.zeros((2, 1)) - 1e-9
-        beta = np.ones((2, 1))
+        q = np.stack([k1, k1])[None]
+        k = np.stack([k1, k1])[None]
+        v = np.stack([v1, v1])[None]
+        g = np.zeros((1, 2)) - 1e-9
+        beta = np.ones((1, 2))
         o, _ = delta_rule_sequential(q, k, v, g, beta, np.zeros((1, dk, dv)))
-        assert np.max(np.abs(o[1, 0] * np.sqrt(dk) - v1)) < 1e-5
+        assert np.max(np.abs(o[0, 1] * np.sqrt(dk) - v1)) < 1e-5
 
     @pytest.mark.parametrize("T", [64, 70, 256, 512])
     def test_chunked_equals_sequential_core(self, T):
@@ -136,6 +138,44 @@ class TestLayerForward:
         for name in ("s", "conv_q", "conv_k", "conv_v"):
             assert np.array_equal(getattr(after_first, name), getattr(after_second, name))
 
+    def test_batch_equals_its_sequences(self, toy_teacher, rng, monkeypatch):
+        # Batch and heads fold into the core's leading axis; nothing may mix
+        # sequences, and each taped chunk is a slice of the core's inputs.
+        cfg = GdnConfig(d=32, n_heads=2)
+        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg,
+                                  seed=4)
+        B, T = 3, 2 * CHUNK + 5
+        x = rng.normal(size=(B, T, 32))
+        dy = rng.normal(size=(B, T, 32))
+        core_inputs = []
+
+        def spy(*args, **kwargs):
+            core_inputs.append(args)
+            return delta_rule_chunked(*args, **kwargs)
+
+        monkeypatch.setattr(gdn_module, "delta_rule_chunked", spy)
+        tape = {}
+        y, _ = gdn_forward_train(w, cfg, x, tape)
+        dx, grads = gdn_backward(w, cfg, tape, dy)
+        q_in, k_in, v_in = core_inputs[0][:3]
+        assert len(tape["core"]) == 3
+        for chunk in tape["core"]:
+            assert np.shares_memory(chunk["qc"], q_in)
+            assert np.shares_memory(chunk["kc"], k_in)
+            assert np.shares_memory(chunk["vc"], v_in)
+
+        summed = {name: np.zeros_like(g) for name, g in grads.items()}
+        for b in range(B):
+            one_tape = {}
+            y_b, _ = gdn_forward_train(w, cfg, x[b], one_tape)
+            dx_b, grads_b = gdn_backward(w, cfg, one_tape, dy[b])
+            assert np.max(np.abs(y[b] - y_b)) < 1e-12
+            assert np.max(np.abs(dx[b] - dx_b)) < 1e-12
+            for name, g in grads_b.items():
+                summed[name] += g
+        for name, g in grads.items():
+            assert np.max(np.abs(g - summed[name])) < 1e-12, name
+
     def test_hand_evaluated_single_token(self, toy_teacher):
         tc = TransformerConfig(d_model=4, n_layers=1, n_q_heads=1, n_kv_heads=1,
                                head_dim=4, vocab=16, mlp_hidden=8)
@@ -183,7 +223,7 @@ class TestProperties:
         inputs = list(random_core_inputs(seed, T, H=H))
         rng = np.random.default_rng(seed + 1)
         inputs[5] = rng.normal(size=(H, 6, 12))         # non-zero s0
-        weight = rng.normal(size=(T, H, 12))
+        weight = rng.normal(size=(H, T, 12))
 
         def loss(args):
             return np.sum(weight * delta_rule_chunked(*args, chunk=chunk)[0])

@@ -125,6 +125,26 @@ class TestForward:
         cont = hybrid_forward(gdn, toks[24:], caches=pre.caches)
         assert np.max(np.abs(cont.logits - full[24:])) < 1e-9
 
+    @settings(max_examples=20)
+    @given(data=st.data(), T=st.integers(2, 3 * CHUNK), seed=st.integers(0, 2 ** 16))
+    def test_prompt_in_cached_calls_equals_one_shot(self, hybrid, data, T, seed):
+        # Calls of more than one token after a cache take the chunked GDN
+        # body from its state, one-token calls the decode step.
+        cuts = sorted(data.draw(st.sets(st.integers(1, T - 1), min_size=1,
+                                        max_size=4), label="cuts"))
+        toks = np.random.default_rng(seed).integers(0, 64, size=T)
+        full = hybrid_forward(hybrid, toks)
+        caches, start = None, 0
+        for end in cuts + [T]:
+            out = hybrid_forward(hybrid, toks[start:end], caches=caches,
+                                 position_offset=start)
+            caches, start = out.caches, end
+        assert np.max(np.abs(out.logits[-1] - full.logits[-1])) < 1e-10
+        for ly, cache, ref in zip(hybrid.layers, caches, full.caches):
+            names = ("kv",) if ly.kind == "mla" else ("s", "conv_q", "conv_k", "conv_v")
+            for name in names:
+                assert np.max(np.abs(getattr(cache, name) - getattr(ref, name))) < 1e-10
+
     @pytest.fixture(scope="class")
     def hybrid_for_flags(self, toy_teacher, toy_mla_config, pure_models):
         built = {}
