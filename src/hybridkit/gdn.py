@@ -40,7 +40,9 @@ from .numerics import (CONV_WIDTH, causal_conv1d, causal_conv1d_backward,
 # Tokens per chunk of the chunk-parallel core. Results do not depend on it
 # beyond rounding. Timed at d 128 with 4 heads (training steps of 128 and 512
 # tokens, prefills of 128 and 1024), 32 was the fastest of 16/32/64, or within
-# 3% of the fastest.
+# 3% of the fastest. Re-timed with the chunk inverse (core fwd+bwd at 512
+# tokens, core prefill at 128 and 1024): 16 and 32 within noise of each other,
+# 64 and 128 slower by 1.2-4x.
 CHUNK = 32
 
 
@@ -139,10 +141,14 @@ def l2norm(x):
 
 
 def l2norm_backward(x, dy):
-    n = np.linalg.norm(x, axis=-1, keepdims=True)
-    s = 1.0 / (n + L2_EPS)
-    proj = np.sum(x * dy, axis=-1, keepdims=True)
-    return s * dy - x * proj / (np.maximum(n, 1e-30) * (n + L2_EPS) ** 2)
+    """Adjoint of l2norm; the per-row reductions go through einsum and dx is
+    built in place."""
+    n = np.sqrt(np.einsum("...i,...i->...", x, x))[..., None]
+    coef = np.einsum("...i,...i->...", x, dy)[..., None]
+    coef /= np.maximum(n, 1e-30) * (n + L2_EPS) ** 2
+    dx = dy * (1.0 / (n + L2_EPS))
+    dx -= x * coef
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +183,19 @@ def delta_rule_sequential(q, k, v, g, beta, s0):
 def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int = CHUNK,
                        tape: list | None = None):
     """Chunk-parallel equivalent of the sequential rule. Within a chunk the
-    per-step corrections solve a unit-lower-triangular system; the state
+    per-step corrections solve a unit-lower-triangular system A U = R
+    through A's inverse, which the tape keeps for the backward; the state
     crosses chunk boundaries once per chunk. A chunk is the slice [:, c0:c1]
     of each input, so the tape holds views, not copies."""
     N, T, dk = q.shape
     inv_sqrt = 1.0 / np.sqrt(dk)
     s = s0.copy()                       # (N, dk, dv)
     o = np.empty(v.shape)
+    # Masks and identity of a full chunk; a shorter last chunk takes their
+    # leading block.
+    incl_full = np.tri(chunk, dtype=bool)
+    strict_full = np.tri(chunk, k=-1, dtype=bool)
+    eye_full = np.eye(chunk)
     for c0 in range(0, T, chunk):
         c1 = min(c0 + chunk, T)
         C = c1 - c0
@@ -193,28 +205,36 @@ def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int = CHUNK,
         # Pairwise decay exp(b_t - b_s), zeroed above the diagonal. Mask in
         # log space: upper-triangle differences are positive and may overflow.
         db = b[:, :, None] - b[:, None, :]      # (N, C, C)
-        incl = np.tril(np.ones((C, C), dtype=bool))
-        decay_incl = np.exp(np.where(incl, db, -np.inf))
-        decay_strict = np.tril(decay_incl, -1)
+        decay_incl = np.exp(np.where(incl_full[:C, :C], db, -np.inf))
+        decay_strict = np.where(strict_full[:C, :C], decay_incl, 0.0)
         eb = np.exp(b)                          # (N, C)
         tail = np.exp(b[:, -1][:, None] - b)    # (N, C) exp(b_C - b_s) <= 1
 
         kk = np.matmul(kc, kc.transpose(0, 2, 1))
-        A = np.eye(C) + bc[:, :, None] * decay_strict * kk
+        A = bc[:, :, None] * decay_strict
+        A *= kk
+        A += eye_full[:C, :C]                   # I + beta * D_str * (K K^T)
+        # One inverse per chunk serves the forward (U = A^-1 R) and the
+        # backward (lambda = A^-T dU); A is unit lower triangular with
+        # off-diagonal entries below 1 in magnitude, so no pivot is taken.
+        a_inv = np.linalg.inv(A)
         ks = np.matmul(kc, s)                   # (N, C, dv)
-        rhs = bc[:, :, None] * (vc - eb[:, :, None] * ks)
-        u = np.linalg.solve(A, rhs)             # (N, C, dv) per-step corrections
+        rhs = eb[:, :, None] * ks
+        np.subtract(vc, rhs, out=rhs)
+        rhs *= bc[:, :, None]                   # beta * (V - eb * (K S))
+        u = np.matmul(a_inv, rhs)               # (N, C, dv) per-step corrections
 
         qs = np.matmul(qc, s)
         qk = np.matmul(qc, kc.transpose(0, 2, 1))
         p = decay_incl * qk
-        o_c = eb[:, :, None] * qs + np.matmul(p, u)
-        o[:, c0:c1] = o_c * inv_sqrt
+        o_c = np.matmul(p, u)
+        o_c += eb[:, :, None] * qs
+        np.multiply(o_c, inv_sqrt, out=o[:, c0:c1])
 
         if tape is not None:
             tape.append(dict(qc=qc, kc=kc, vc=vc, bc=bc, b=b, eb=eb, tail=tail,
                              decay_strict=decay_strict, decay_incl=decay_incl,
-                             kk=kk, qk=qk, A=A, u=u, ks=ks, qs=qs, s_in=s,
+                             kk=kk, qk=qk, a_inv=a_inv, u=u, ks=ks, qs=qs, s_in=s,
                              span=(c0, c1)))
         s = np.exp(b[:, -1])[:, None, None] * s + np.matmul(
             (kc * tail[:, :, None]).transpose(0, 2, 1), u)
@@ -268,7 +288,7 @@ def delta_rule_chunked_backward(tape: list, do):
         db += e_inc.sum(axis=2) - e_inc.sum(axis=1)
 
         # U = A^{-1} R
-        lam = np.linalg.solve(ch["A"].transpose(0, 2, 1), du)
+        lam = np.matmul(ch["a_inv"].transpose(0, 2, 1), du)
         dA = -np.matmul(lam, u.transpose(0, 2, 1))
         dr = lam
 
@@ -355,7 +375,8 @@ def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape):
     gate_pre = xb @ w.w_g.T                         # (B, T, d_v)
     o_head = _unfold_heads(o_raw, B)                # (B, T, H, hv)
     o_n = rmsnorm(o_head, w.o_norm, 1e-6)
-    gated = o_n * silu(gate_pre).reshape(B, T, H, hv)
+    gated = silu(gate_pre).reshape(B, T, H, hv)
+    gated *= o_n
     y = gated.reshape(B, T, cfg.d_v) @ w.w_o.T
 
     if tape is not None:
@@ -444,8 +465,14 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     grads["w_o"] = dyb.reshape(B * T, -1).T @ tape["gated"].reshape(B * T, cfg.d_v)
 
     gate_pre = tape["gate_pre"].reshape(B, T, H, hv)
-    do_n = dgated * silu(gate_pre)
-    dgate_pre = (dgated * tape["o_n"] * silu_grad(gate_pre)).reshape(B, T, cfg.d_v)
+    s = sigmoid(gate_pre)
+    dgate_pre = silu_grad(gate_pre, s)
+    dgate_pre *= tape["o_n"]
+    dgate_pre *= dgated
+    dgate_pre = dgate_pre.reshape(B, T, cfg.d_v)
+    do_n = s
+    do_n *= gate_pre            # silu(gate_pre)
+    do_n *= dgated
     grads["w_g"] = dgate_pre.reshape(B * T, -1).T @ x_flat
     dx = dgate_pre @ w.w_g
 
@@ -472,7 +499,9 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     for name, dpost, conv_w, proj_w in (("q", dq, w.conv_q, w.w_q),
                                         ("k", dk, w.conv_k, w.w_k),
                                         ("v", dv, w.conv_v, w.w_v)):
-        d1 = _unfold_heads(dpost, B).reshape(B, T, -1) * silu_grad(tape[f"{name}1"])
+        pre = tape[f"{name}1"]
+        d1 = silu_grad(pre, sigmoid(pre))
+        d1 *= _unfold_heads(dpost, B).reshape(B, T, -1)
         d0, dconv = causal_conv1d_backward(tape[f"{name}0"], conv_w, d1)
         grads[f"conv_{name}"] = dconv
         grads[f"w_{name}"] = d0.reshape(B * T, -1).T @ x_flat

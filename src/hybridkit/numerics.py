@@ -25,12 +25,22 @@ def check_finite(x: Array, what: str) -> Array:
 # Activations (last-axis semantics where an axis matters)
 # ---------------------------------------------------------------------------
 
+# Largest exponent `sigmoid` passes to exp: e^708 is finite, and its
+# reciprocal is still a normal float64.
+_SIGMOID_MAX_EXP = 708.0
+
+
 def sigmoid(x: Array) -> Array:
-    """0.5 tanh(x / 2) + 0.5, computed in place in one new buffer."""
-    s = np.multiply(x, 0.5)
-    np.tanh(s, out=s)
-    s *= 0.5
-    s += 0.5
+    """1 / (1 + e^-x), computed in place in one new buffer. The exponent is
+    clamped at _SIGMOID_MAX_EXP, so exp never overflows; below x = -708 the
+    result is about 3e-308 instead of a smaller or subnormal value. Unlike
+    0.5 tanh(x / 2) + 0.5, the form keeps full relative precision for
+    negative x."""
+    s = np.negative(x)
+    np.minimum(s, _SIGMOID_MAX_EXP, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
     return s
 
 
@@ -40,10 +50,14 @@ def silu(x: Array) -> Array:
     return s
 
 
-def silu_grad(x: Array) -> Array:
-    """d silu(x) / dx."""
-    s = sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+def silu_grad(x: Array, s: Array) -> Array:
+    """d silu(x) / dx = s (1 + x (1 - s)), given s = sigmoid(x), which the
+    caller already holds; one new buffer."""
+    out = np.subtract(1.0, s)
+    out *= x
+    out += 1.0
+    out *= s
+    return out
 
 
 def softplus(x: Array) -> Array:
@@ -145,6 +159,11 @@ def causal_attention_backward(q: Array, k: Array, v: Array, scale: float,
 # RMS normalization
 # ---------------------------------------------------------------------------
 
+# Subscripts for the leading axes of an einsum that reduces over them
+# (einsum cannot reduce over "...").
+_LEAD = "abcdefgh"
+
+
 def rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
     """Per last-axis slice: x / sqrt(mean(x^2) + eps) * gamma."""
     if eps <= 0:
@@ -163,12 +182,23 @@ def rmsnorm(x: Array, gamma: Array, eps: float) -> Array:
 
 
 def rmsnorm_backward(x: Array, gamma: Array, eps: float, dy: Array):
-    """Returns (dx, dgamma) for y = rmsnorm(x, gamma, eps)."""
+    """Returns (dx, dgamma) for y = rmsnorm(x, gamma, eps); gamma runs along
+    the last axis. Reductions go through einsum and dx is built in place, so
+    the x-sized buffers are dx and one temporary."""
     d = x.shape[-1]
-    inv = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
-    g = dy * gamma
-    dx = inv * g - x * (inv ** 3) * np.sum(g * x, axis=-1, keepdims=True) / d
-    dgamma = np.sum((dy * x * inv).reshape(-1, d), axis=0)
+    inv = np.einsum("...i,...i->...", x, x)         # 1 / rms per slice
+    inv /= d
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
+    lead = _LEAD[:x.ndim - 1]
+    dgamma = np.einsum(f"{lead}i,{lead}i,{lead}->i", dy, x, inv)
+    dx = dy * gamma
+    coef = np.einsum("...i,...i->...", dx, x)       # sum(dy gamma x) per slice
+    coef *= inv ** 3
+    coef /= d
+    dx *= inv[..., None]
+    dx -= x * coef[..., None]
     return dx, dgamma
 
 
@@ -189,28 +219,36 @@ def causal_conv1d(x: Array, kernel: Array, history: Array | None = None) -> Arra
     T, c = x.shape[-2], x.shape[-1]
     if kernel.shape != (c, CONV_WIDTH):
         raise ValueError(f"kernel shape {kernel.shape} != ({c}, {CONV_WIDTH})")
-    if history is None:
-        history = np.zeros(x.shape[:-2] + (CONV_WIDTH - 1, c))
-    else:
-        history = np.broadcast_to(history, x.shape[:-2] + (CONV_WIDTH - 1, c))
-    padded = np.concatenate([history, x], axis=-2)
+    # Tap k reads lag = 3 - k steps back: from x for t >= lag, else from the
+    # history rows k .. k + lag - 1. Taps accumulate in k order into `out`.
     out = np.zeros_like(x)
+    tmp = np.empty_like(x)
     for k in range(CONV_WIDTH):
-        out += kernel[:, k] * padded[..., k : k + T, :]
+        lag = CONV_WIDTH - 1 - k
+        if history is not None and lag:
+            n = min(lag, T)
+            out[..., :n, :] += kernel[:, k] * history[..., k:k + n, :]
+        if lag < T:
+            np.multiply(kernel[:, k], x[..., :T - lag, :], out=tmp[..., lag:, :])
+            out[..., lag:, :] += tmp[..., lag:, :]
     return out
 
 
 def causal_conv1d_backward(x: Array, kernel: Array, dy: Array):
     """Returns (dx, dkernel) for y = causal_conv1d(x, kernel)."""
-    T, c = x.shape[-2], x.shape[-1]
-    padded = np.concatenate([np.zeros(x.shape[:-2] + (CONV_WIDTH - 1, c)), x], axis=-2)
-    dpadded = np.zeros_like(padded)
+    T = x.shape[-2]
+    lead = _LEAD[:x.ndim - 1]
+    dx = np.zeros_like(x)
+    tmp = np.empty_like(x)
     dkernel = np.zeros_like(kernel)
     for k in range(CONV_WIDTH):
-        dpadded[..., k : k + T, :] += kernel[:, k] * dy
-        dkernel[:, k] = np.sum(
-            (dy * padded[..., k : k + T, :]).reshape(-1, c), axis=0)
-    return dpadded[..., CONV_WIDTH - 1 :, :], dkernel
+        lag = CONV_WIDTH - 1 - k
+        if lag < T:
+            np.multiply(kernel[:, k], dy[..., lag:, :], out=tmp[..., :T - lag, :])
+            dx[..., :T - lag, :] += tmp[..., :T - lag, :]
+            dkernel[:, k] = np.einsum(f"{lead}c,{lead}c->c", dy[..., lag:, :],
+                                      x[..., :T - lag, :])
+    return dx, dkernel
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from .checkpoint import TeacherCheckpoint
 from .hybrid import HybridModel, hybrid_backward, hybrid_forward
 from .losses import (LossConfig, fused_linear_ce, ild_grads, kl_chunked,
                      kl_naive, kl_online, kl_hidden)
-from .numerics import f32_resolution
 from .teacher import teacher_forward
 
 FROZEN = ("embedding", "lm_head")
@@ -125,7 +124,7 @@ class Adam:
         norm leave the weights as they are and return False."""
         lr_t = self.lr_at(self.t)
         self.t += 1
-        norm_sq = sum(float(np.sum(g * g)) for n, g in grads.items()
+        norm_sq = sum(float(np.vdot(g, g)) for n, g in grads.items()
                       if n in self.params)
         if not np.isfinite(norm_sq):
             self.last_stats = {"lr": lr_t, "grad_norm": None, "clip_scale": None}
@@ -138,16 +137,31 @@ class Adam:
         b1, b2 = self.BETA1, self.BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
+        # m, v and the parameter update in place, through one scratch buffer
+        # per tensor; the caller's gradients are left as they were. Each
+        # buffer's memory goes to the next: buffers kept for the optimizer's
+        # lifetime cost more in page faults than they saved on a 1-step run.
         for name, p in self.params.items():
             g = grads.get(name)
             if g is None:
                 continue
             if scale != 1.0:
                 g = g * scale
-            self.m[name] = b1 * self.m[name] + (1 - b1) * g
-            self.v[name] = b2 * self.v[name] + (1 - b2) * g * g
-            update = (self.m[name] / corr1) / (np.sqrt(self.v[name] / corr2) + self.EPS)
-            p[...] = f32_resolution(p - lr_t * update)
+            m, v, buf = self.m[name], self.v[name], np.empty_like(p)
+            m *= b1
+            np.multiply(g, 1 - b1, out=buf)
+            m += buf                                    # b1 m + (1 - b1) g
+            v *= b2
+            np.multiply(g, 1 - b2, out=buf)
+            buf *= g
+            v += buf                                    # b2 v + (1 - b2) g^2
+            np.divide(v, corr2, out=buf)
+            np.sqrt(buf, out=buf)
+            buf += self.EPS
+            np.divide(m / corr1, buf, out=buf)          # the update
+            buf *= lr_t
+            np.subtract(p, buf, out=buf)
+            p[...] = buf.astype(np.float32)             # back onto the f32 grid
         return True
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,19 @@ class TestActivations:
     def test_sigmoid_zero(self):
         assert nm.sigmoid(np.array([0.0]))[0] == 0.5
 
+    def test_sigmoid_keeps_relative_precision_for_negative_x(self):
+        # e^(x - log(1 + e^x)) is exact to rounding wherever it does not
+        # underflow; the tanh form lost all digits below x = -37.
+        x = np.linspace(-700.0, 40.0, 20001)
+        ref = np.exp(x - np.logaddexp(0.0, x))
+        assert np.max(np.abs(nm.sigmoid(x) - ref) / ref) <= 1e-14
+
+    def test_sigmoid_saturates_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nm.sigmoid(np.array([-1000.0, 1000.0]))
+        assert 0.0 <= out[0] < 1e-300 and out[1] == 1.0
+
     def test_softmax_zero_vector_uniform(self):
         out = nm.softmax(np.zeros(7))
         assert np.allclose(out, np.full(7, 1 / 7))
@@ -128,18 +143,30 @@ class TestRmsnorm:
             nm.rmsnorm(np.ones((2, 4)), np.ones(5), 1e-6)
 
     def test_backward_matches_fd(self, rng):
-        x = rng.normal(size=(3, 8))
-        gamma = rng.normal(size=8)
-        dy = rng.normal(size=(3, 8))
-        dx, dgamma = nm.rmsnorm_backward(x, gamma, 1e-5, dy)
-        h = 1e-6
-        for idx in [(0, 0), (1, 3), (2, 7)]:
-            xp, xm = x.copy(), x.copy()
-            xp[idx] += h
-            xm[idx] -= h
-            fd = (np.sum(nm.rmsnorm(xp, gamma, 1e-5) * dy)
-                  - np.sum(nm.rmsnorm(xm, gamma, 1e-5) * dy)) / (2 * h)
-            assert abs(fd - dx[idx]) < 1e-6
+        # (B, T, H, hv) with a last-axis gamma is the GDN output norm's call.
+        for shape in ((3, 8), (2, 3, 2, 5)):
+            x = rng.normal(size=shape)
+            gamma = rng.normal(size=shape[-1])
+            dy = rng.normal(size=shape)
+            dx, dgamma = nm.rmsnorm_backward(x, gamma, 1e-5, dy)
+            h = 1e-6
+
+            def loss(x, gamma):
+                return np.sum(nm.rmsnorm(x, gamma, 1e-5) * dy)
+
+            for flat in range(x.size):
+                idx = np.unravel_index(flat, shape)
+                xp, xm = x.copy(), x.copy()
+                xp[idx] += h
+                xm[idx] -= h
+                fd = (loss(xp, gamma) - loss(xm, gamma)) / (2 * h)
+                assert abs(fd - dx[idx]) < 1e-6
+            for j in range(shape[-1]):
+                gp, gm = gamma.copy(), gamma.copy()
+                gp[j] += h
+                gm[j] -= h
+                fd = (loss(x, gp) - loss(x, gm)) / (2 * h)
+                assert abs(fd - dgamma[j]) < 1e-6
 
 
 class TestCausalConv:
@@ -168,6 +195,42 @@ class TestCausalConv:
         full = nm.causal_conv1d(x, kernel)
         part = nm.causal_conv1d(x[6:], kernel, history=x[3:6])
         assert np.allclose(part, full[6:])
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_history_longer_than_input(self, rng, T):
+        # T < CONV_WIDTH - 1: every tap of the first outputs reads history
+        # or x, never padding. The oracle convolves history and x as one
+        # sequence; its last T rows are the continuation.
+        history = rng.normal(size=(nm.CONV_WIDTH - 1, 3))
+        x = rng.normal(size=(T, 3))
+        kernel = rng.normal(size=(3, 4))
+        padded = conv_oracle(np.concatenate([history, x]), kernel)
+        assert np.allclose(nm.causal_conv1d(x, kernel, history=history),
+                           padded[nm.CONV_WIDTH - 1:], atol=1e-12)
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("T", [1, 2, 3, 9])
+    def test_backward_matches_fd(self, rng, T, lead):
+        x = rng.normal(size=lead + (T, 3))
+        kernel = rng.normal(size=(3, nm.CONV_WIDTH))
+        dy = rng.normal(size=x.shape)
+        dx, dkernel = nm.causal_conv1d_backward(x, kernel, dy)
+        h = 1e-6
+
+        def loss(x, kernel):
+            return np.sum(nm.causal_conv1d(x, kernel) * dy)
+
+        for arr, grad in ((x, dx), (kernel, dkernel)):
+            assert grad.shape == arr.shape
+            for flat in range(arr.size):
+                idx = np.unravel_index(flat, arr.shape)
+                base = arr[idx]
+                arr[idx] = base + h
+                up = loss(x, kernel)
+                arr[idx] = base - h
+                down = loss(x, kernel)
+                arr[idx] = base
+                assert abs((up - down) / (2 * h) - grad[idx]) < 1e-7
 
 
 # Draws for the attention kernel: T runs past three query blocks, with a ragged

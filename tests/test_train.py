@@ -234,6 +234,45 @@ class TestAdam:
         assert np.all(np.isfinite(p["w"]))
 
 
+    @pytest.mark.parametrize("grad_size", [0.05, 10.0])
+    def test_three_steps_match_the_reference_formula(self, rng, grad_size):
+        # grad_size 10 puts every step's global norm above GRAD_CLIP.
+        shapes = {"w": (3, 4), "b": (5,)}
+        params = {n: rng.normal(size=s).astype(np.float32).astype(np.float64)
+                  for n, s in shapes.items()}
+        ref = {n: p.copy() for n, p in params.items()}
+        m = {n: np.zeros(s) for n, s in shapes.items()}
+        v = {n: np.zeros(s) for n, s in shapes.items()}
+        lr, total, b1, b2, eps = 1e-2, 10, 0.9, 0.999, 1e-8
+        opt = Adam(params, lr=lr, total_steps=total)
+        clipped = []
+        for t in range(1, 4):
+            grads = {n: grad_size * rng.normal(size=s) for n, s in shapes.items()}
+            before = {n: g.copy() for n, g in grads.items()}
+            assert opt.step(grads) is True
+            for n, g in grads.items():
+                assert np.array_equal(g, before[n]), n
+
+            # Reference: global-norm clip to 1, Adam moments with bias
+            # correction, no warmup at 10 steps, cosine lr, f32 snap.
+            norm = np.sqrt(sum(np.sum(g * g) for g in before.values()))
+            scale = min(1.0, 1.0 / norm)
+            clipped.append(scale < 1.0)
+            lr_t = lr * 0.5 * (1.0 + np.cos(np.pi * (t - 1) / total))
+            for n, g in before.items():
+                g = g * scale
+                m[n] = b1 * m[n] + (1 - b1) * g
+                v[n] = b2 * v[n] + (1 - b2) * g * g
+                update = (m[n] / (1 - b1 ** t)) / (np.sqrt(v[n] / (1 - b2 ** t)) + eps)
+                ref[n] = (ref[n] - lr_t * update).astype(np.float32).astype(np.float64)
+                np.testing.assert_allclose(opt.m[n], m[n], rtol=1e-12)
+                np.testing.assert_allclose(opt.v[n], v[n], rtol=1e-12)
+                # One float32 step of slack for a last-bit change in the norm.
+                np.testing.assert_allclose(params[n], ref[n], rtol=2.5e-7, atol=0)
+            assert opt.last_stats["clip_scale"] == pytest.approx(scale, rel=1e-12)
+        assert clipped == [grad_size > 1.0] * 3
+
+
 class TestGradAudit:
     def test_linear_model_with_ce_is_tight(self, rng):
         from hybridkit.losses import fused_linear_ce
