@@ -11,23 +11,19 @@ from dataclasses import dataclass, field
 
 
 @dataclass
-class AllocEvent:
-    tag: str
-    elements: int
-
-
-@dataclass
 class AllocTracker:
-    events: list = field(default_factory=list)
-    peak_elements: int = 0
+    sizes: dict = field(default_factory=dict)   # tag -> largest size recorded
 
     def record(self, tag: str, elements: int) -> None:
-        self.events.append(AllocEvent(tag, int(elements)))
-        self.peak_elements = max(self.peak_elements, int(elements))
+        self.sizes[tag] = max(self.sizes.get(tag, 0), int(elements))
+
+    @property
+    def peak_elements(self) -> int:
+        return max(self.sizes.values(), default=0)
 
     def largest(self, tag_prefix: str = "") -> int:
-        sizes = [e.elements for e in self.events if e.tag.startswith(tag_prefix)]
-        return max(sizes, default=0)
+        return max((n for tag, n in self.sizes.items() if tag.startswith(tag_prefix)),
+                   default=0)
 
 
 _active: list[AllocTracker] = []

@@ -62,26 +62,25 @@ class TeacherLayer:
     k_norm: np.ndarray | None = None
 
 
-# TeacherLayer field -> tensor name under `layers.{i}.`, in container order.
-_LAYER_TENSORS = {
-    "wq": "attn.wq", "wk": "attn.wk", "wv": "attn.wv", "wo": "attn.wo",
-    "q_norm": "attn.q_norm", "k_norm": "attn.k_norm",
-    "mlp_gate": "mlp.gate", "mlp_up": "mlp.up", "mlp_down": "mlp.down",
-    "norm_attn": "norm_attn", "norm_mlp": "norm_mlp",
-}
+# Layer field -> tensor name under `layers.{i}.`, in container order. A hybrid
+# layer keeps the shared five from its teacher layer; a teacher adds attention.
+SHARED_LAYER_TENSORS = {"mlp_gate": "mlp.gate", "mlp_up": "mlp.up", "mlp_down": "mlp.down",
+                        "norm_attn": "norm_attn", "norm_mlp": "norm_mlp"}
+_LAYER_TENSORS = {"wq": "attn.wq", "wk": "attn.wk", "wv": "attn.wv", "wo": "attn.wo",
+                  "q_norm": "attn.q_norm", "k_norm": "attn.k_norm", **SHARED_LAYER_TENSORS}
 
 
 def teacher_shapes(c: TransformerConfig) -> dict:
     """Tensor name -> shape for every tensor a teacher with config `c` holds."""
     d, h = c.d_model, c.mlp_hidden
     q, kv = c.n_q_heads * c.head_dim, c.n_kv_heads * c.head_dim
-    layer = {"attn.wq": (q, d), "attn.wk": (kv, d), "attn.wv": (kv, d),
-             "attn.wo": (d, q), "mlp.gate": (h, d), "mlp.up": (h, d),
-             "mlp.down": (d, h), "norm_attn": (d,), "norm_mlp": (d,)}
+    layer = {"wq": (q, d), "wk": (kv, d), "wv": (kv, d), "wo": (d, q),
+             "mlp_gate": (h, d), "mlp_up": (h, d), "mlp_down": (d, h),
+             "norm_attn": (d,), "norm_mlp": (d,)}
     if c.qk_norm:
-        layer["attn.q_norm"] = layer["attn.k_norm"] = (c.head_dim,)
-    shapes = {f"layers.{i}.{name}": shape for i in range(c.n_layers)
-              for name, shape in layer.items()}
+        layer["q_norm"] = layer["k_norm"] = (c.head_dim,)
+    shapes = {f"layers.{i}.{_LAYER_TENSORS[f]}": shape for i in range(c.n_layers)
+              for f, shape in layer.items()}
     shapes.update(embedding=(c.vocab, d), final_norm=(d,), lm_head=(c.vocab, d))
     return shapes
 

@@ -28,7 +28,7 @@ Dimensions follow d_k = floor(0.75 d), d_v = 2 d_k, head dims d_k/H and d_v/H.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,9 +99,7 @@ class GdnBlockWeights:
     o_norm: np.ndarray     # (head_v,)
 
     def named_tensors(self, prefix: str) -> dict:
-        return {f"{prefix}.{k}": getattr(self, k) for k in (
-            "w_q", "w_k", "w_v", "w_g", "w_o", "w_alpha", "w_beta",
-            "a_log", "dt_bias", "conv_q", "conv_k", "conv_v", "o_norm")}
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)}
 
     @staticmethod
     def shapes(cfg: GdnConfig) -> dict:

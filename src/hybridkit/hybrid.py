@@ -21,12 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import record_alloc
-from .checkpoint import TeacherCheckpoint, TransformerConfig, teacher_shapes
+from .checkpoint import (SHARED_LAYER_TENSORS, TeacherCheckpoint,
+                         TransformerConfig, teacher_shapes)
 from .container import read_container, write_container
-from .gdn import (GdnBlockWeights, GdnConfig, GdnState, gdn_backward,
+from .gdn import (GdnBlockWeights, GdnConfig, gdn_backward,
                   gdn_forward_chunked, gdn_forward_sequential,
                   gdn_forward_train, init_gdn_from_teacher)
-from .mla import (MlaBlockWeights, MlaCache, MlaConfig, init_mla_from_teacher,
+from .mla import (MlaBlockWeights, MlaConfig, init_mla_from_teacher,
                   mla_backward, mla_forward)
 from .mlp import swiglu_backward, swiglu_forward
 from .numerics import rmsnorm, rmsnorm_backward
@@ -64,6 +65,7 @@ class HybridLayout:
 
 @dataclass
 class HybridLayer:
+    """A mixer plus the SHARED_LAYER_TENSORS kept from the teacher layer."""
     kind: str                 # "mla" | "gdn"
     mixer: object             # MlaBlockWeights | GdnBlockWeights
     mlp_gate: np.ndarray
@@ -88,12 +90,8 @@ class HybridModel:
         out = {}
         for i, ly in enumerate(self.layers):
             out.update(ly.mixer.named_tensors(f"{ly.kind}.{i}"))
-            p = f"layers.{i}"
-            out[f"{p}.mlp.gate"] = ly.mlp_gate
-            out[f"{p}.mlp.up"] = ly.mlp_up
-            out[f"{p}.mlp.down"] = ly.mlp_down
-            out[f"{p}.norm_attn"] = ly.norm_attn
-            out[f"{p}.norm_mlp"] = ly.norm_mlp
+            for f, name in SHARED_LAYER_TENSORS.items():
+                out[f"layers.{i}.{name}"] = getattr(ly, f)
         out["embedding"] = self.embedding
         out["final_norm"] = self.final_norm
         out["lm_head"] = self.lm_head
@@ -104,40 +102,37 @@ class HybridModel:
 # Conversion and assembly
 # ---------------------------------------------------------------------------
 
-def _reject_qk_norm(ckpt: TeacherCheckpoint) -> None:
+def _convert(ckpt: TeacherCheckpoint, kind: str, cfg: MlaConfig | GdnConfig,
+             seed: int) -> HybridModel:
+    """Replace every attention layer with a `kind` block initialized from it
+    (layer i at seed + i); the shared tensors and the top are copied."""
     # Neither mixer has a place for the teacher's per-head Q/K RMSNorm, so
     # converting would drop it silently.
     if ckpt.config.qk_norm:
         raise ValueError("teacher uses qk_norm (per-head Q/K RMSNorm), which "
                          "conversion does not support")
+    # Read from the module globals on each call, so a wrapper set on
+    # `hybrid.init_*_from_teacher` is the one that runs.
+    init = init_mla_from_teacher if kind == "mla" else init_gdn_from_teacher
+    n = ckpt.config.n_layers
+    layers = [HybridLayer(kind, init(ly, ckpt.config, cfg, seed + i),
+                          **{f: getattr(ly, f).copy() for f in SHARED_LAYER_TENSORS})
+              for i, ly in enumerate(ckpt.layers)]
+    return HybridModel(ckpt.config, HybridLayout(n, range(n) if kind == "mla" else ()),
+                       layers, ckpt.embedding.copy(), ckpt.final_norm.copy(),
+                       ckpt.lm_head.copy(), **{f"{kind}_cfg": cfg})
 
 
 def convert_teacher_to_mla(ckpt: TeacherCheckpoint, cfg: MlaConfig,
                            seed: int = 0) -> HybridModel:
     """Replace every attention layer with a latent-attention block."""
-    _reject_qk_norm(ckpt)
-    layout = HybridLayout(ckpt.config.n_layers, tuple(range(ckpt.config.n_layers)))
-    layers = [
-        HybridLayer("mla", init_mla_from_teacher(ly, ckpt.config, cfg, seed + i),
-                    ly.mlp_gate.copy(), ly.mlp_up.copy(), ly.mlp_down.copy(),
-                    ly.norm_attn.copy(), ly.norm_mlp.copy())
-        for i, ly in enumerate(ckpt.layers)]
-    return HybridModel(ckpt.config, layout, layers, ckpt.embedding.copy(),
-                       ckpt.final_norm.copy(), ckpt.lm_head.copy(), mla_cfg=cfg)
+    return _convert(ckpt, "mla", cfg, seed)
 
 
 def convert_teacher_to_gdn(ckpt: TeacherCheckpoint, cfg: GdnConfig,
                            seed: int = 0) -> HybridModel:
     """Replace every attention layer with a gated delta-rule block."""
-    _reject_qk_norm(ckpt)
-    layout = HybridLayout(ckpt.config.n_layers, ())
-    layers = [
-        HybridLayer("gdn", init_gdn_from_teacher(ly, ckpt.config, cfg, seed + i),
-                    ly.mlp_gate.copy(), ly.mlp_up.copy(), ly.mlp_down.copy(),
-                    ly.norm_attn.copy(), ly.norm_mlp.copy())
-        for i, ly in enumerate(ckpt.layers)]
-    return HybridModel(ckpt.config, layout, layers, ckpt.embedding.copy(),
-                       ckpt.final_norm.copy(), ckpt.lm_head.copy(), gdn_cfg=cfg)
+    return _convert(ckpt, "gdn", cfg, seed)
 
 
 def assemble_hybrid(pure_mla: HybridModel, pure_gdn: HybridModel,
@@ -161,12 +156,6 @@ def assemble_hybrid(pure_mla: HybridModel, pure_gdn: HybridModel,
 # Forward / decode / backward
 # ---------------------------------------------------------------------------
 
-def _fresh_cache(model: HybridModel, ly: HybridLayer):
-    if ly.kind == "mla":
-        return MlaCache.empty(model.mla_cfg)
-    return GdnState.zeros(model.gdn_cfg)
-
-
 def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
                    want_trace: bool = False, caches: list | None = None,
                    position_offset: int = 0, tapes: list | None = None) -> Trace:
@@ -185,8 +174,6 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
         raise ValueError(f"token id out of range [0, {cfg.vocab})")
     if not single and (caches is not None or position_offset):
         raise ValueError("cached decode requires a single sequence")
-    if single and caches is None:
-        caches = [_fresh_cache(model, ly) for ly in model.layers]
     taping = tapes is not None
     if taping and position_offset != 0:
         raise ValueError("gradient tapes require a fresh-sequence forward")
@@ -195,7 +182,7 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
     h = model.embedding[tokens]
     hidden_states, mixer_outputs, new_caches = [], [], []
     for i, ly in enumerate(model.layers):
-        cache = caches[i] if single else None
+        cache = None if caches is None else caches[i]
         tape = {} if taping else None
         h_in = h
         x = rmsnorm(h, ly.norm_attn, cfg.eps)
@@ -396,9 +383,6 @@ def save_hybrid(model: HybridModel, path) -> None:
     write_container(path, model.named_tensors(), meta)
 
 
-_MLP_NORM_TENSORS = ("mlp.gate", "mlp.up", "mlp.down", "norm_attn", "norm_mlp")
-
-
 def _hybrid_configs(meta: dict):
     return (TransformerConfig.from_dict(meta["config"]),
             HybridLayout.from_dict(meta["layout"]),
@@ -444,9 +428,8 @@ def load_hybrid(path) -> HybridModel:
         weights = MlaBlockWeights if kind == "mla" else GdnBlockWeights
         mixer = weights(**{f: tensors[f"{kind}.{i}.{f}"]
                            for f in _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg)})
-        lp = f"layers.{i}"
-        layers.append(HybridLayer(kind, mixer, *(tensors[f"{lp}.{name}"]
-                                                 for name in _MLP_NORM_TENSORS)))
+        layers.append(HybridLayer(kind, mixer, **{
+            f: tensors[f"layers.{i}.{name}"] for f, name in SHARED_LAYER_TENSORS.items()}))
     return HybridModel(cfg, layout, layers, tensors["embedding"],
                        tensors["final_norm"], tensors["lm_head"],
                        mla_cfg=mla_cfg, gdn_cfg=gdn_cfg)

@@ -14,7 +14,8 @@ plus a chunked cross-entropy that fuses the LM-head projection, and the
 intermediate-layer alignment loss over hidden states and mixer outputs.
 
 Each loss reports `peak_elements`: the largest transient working buffer it
-allocated, in scalar elements (inputs and returned gradients excluded).
+reports through `record_alloc`, in scalar elements, so the value equals the
+peak of a `track_allocations()` around the call.
 """
 
 from dataclasses import dataclass
@@ -147,7 +148,7 @@ def kl_chunked(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
     C = min(cfg.kl_chunk, T)
     value, grad = _kl_row_blocks(z_s, z_t, C, cfg.swap_direction,
                                  "kl_chunked_softmax")
-    return LossValueAndGrad(value, grad, peak_elements=2 * C * V + 2 * T)
+    return LossValueAndGrad(value, grad, peak_elements=2 * C * V)
 
 
 class _OnlineLse:
@@ -226,7 +227,7 @@ def kl_online(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
 
     total = _kl_tiled(lambda b0, b1: (z_s[:, b0:b1], z_t[:, b0:b1]), sink,
                       T, V, B, cfg.swap_direction, T, "kl_online_tile")
-    return LossValueAndGrad(total / T, grad, peak_elements=2 * T * B + 5 * T)
+    return LossValueAndGrad(total / T, grad, peak_elements=2 * T * B)
 
 
 def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
@@ -261,7 +262,7 @@ def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossVa
 
         total += _kl_tiled(tiles, sink, c1 - c0, V, B, cfg.swap_direction, T,
                            "kl_hidden_tile")
-    return LossValueAndGrad(total / T, grad_h, peak_elements=2 * C * B + 5 * C)
+    return LossValueAndGrad(total / T, grad_h, peak_elements=2 * C * B)
 
 
 def fused_linear_ce(h, w_lm, targets, cfg: LossConfig | None = None) -> LossValueAndGrad:
@@ -279,13 +280,11 @@ def fused_linear_ce(h, w_lm, targets, cfg: LossConfig | None = None) -> LossValu
     C = min(cfg.kl_chunk, T)
     grad_h = np.empty_like(h)
     total = 0.0
-    peak = 0
     for c0 in range(0, T, C):
         c1 = min(c0 + C, T)
         rows = c1 - c0
         z = h[c0:c1] @ w_lm.T
         record_alloc("fused_ce_logit_slice", rows * V)
-        peak = max(peak, rows * V)
         tgt = targets[c0:c1]
         m = np.max(z, axis=-1)
         lse = m + np.log(np.sum(np.exp(z - m[:, None]), axis=-1))
@@ -294,4 +293,4 @@ def fused_linear_ce(h, w_lm, targets, cfg: LossConfig | None = None) -> LossValu
         np.exp(z, out=z)                      # z now holds softmax probabilities
         z[np.arange(rows), tgt] -= 1.0
         grad_h[c0:c1] = (z / T) @ w_lm
-    return LossValueAndGrad(total / T, grad_h, peak_elements=peak)
+    return LossValueAndGrad(total / T, grad_h, peak_elements=C * V)

@@ -25,7 +25,7 @@ key takes the last d_rope rows of the head-averaged key projection, and the
 output projection is truncated column-wise.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -73,13 +73,7 @@ class MlaConfig:
         return int(self.orig_context * self.yarn_factor)
 
     def to_dict(self) -> dict:
-        return {
-            "r_q": self.r_q, "r_kv": self.r_kv, "d_qk_nope": self.d_qk_nope,
-            "d_qk_rope": self.d_qk_rope, "d_v": self.d_v, "n_heads": self.n_heads,
-            "rope_theta": self.rope_theta, "eps": self.eps,
-            "nope_mode": self.nope_mode, "gate_mode": self.gate_mode,
-            "yarn_factor": self.yarn_factor, "orig_context": self.orig_context,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "MlaConfig":
@@ -126,14 +120,9 @@ class MlaBlockWeights:
     w_gate: np.ndarray | None = None  # (d, d) when gate_mode
 
     def named_tensors(self, prefix: str) -> dict:
-        out = {f"{prefix}.{k}": v for k, v in [
-            ("w_qa", self.w_qa), ("norm_q", self.norm_q), ("w_qb", self.w_qb),
-            ("w_qr", self.w_qr), ("w_kva", self.w_kva), ("norm_kv", self.norm_kv),
-            ("w_kb", self.w_kb), ("w_vb", self.w_vb), ("w_kr", self.w_kr),
-            ("w_o", self.w_o)]}
-        if self.w_gate is not None:
-            out[f"{prefix}.w_gate"] = self.w_gate
-        return out
+        """Field order; `w_gate` only when gate_mode."""
+        return {f"{prefix}.{f.name}": getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
 
     @staticmethod
     def shapes(cfg: MlaConfig, d: int) -> dict:

@@ -246,9 +246,7 @@ def _ild_loss(student: HybridModel, teacher, tokens):
 def train_stage1_ild(student: HybridModel, teacher, data: list,
                      cfg: TrainConfig) -> TrainReport:
     """Align student per-layer hidden states and mixer outputs to the teacher."""
-    n_teacher_layers = (teacher.config.n_layers if hasattr(teacher, "config")
-                        else len(teacher.layers))
-    if len(student.layers) != n_teacher_layers:
+    if len(student.layers) != teacher.config.n_layers:
         raise ValueError("student and teacher must have equal layer counts")
     return _train(student, data, cfg,
                   lambda tokens, _masks: _ild_loss(student, teacher, tokens))
@@ -292,10 +290,8 @@ def train_stage2_sft(student: HybridModel, teacher, data: list,
                      cfg: TrainConfig) -> TrainReport:
     """Fine-tune the assembled hybrid end to end: KL against the teacher's
     distribution when a teacher is given, next-token CE otherwise."""
-    if teacher is not None:
-        t_vocab = (teacher.config.vocab if hasattr(teacher, "config") else None)
-        if t_vocab != student.config.vocab:
-            raise ValueError("student and teacher vocabularies differ")
+    if teacher is not None and teacher.config.vocab != student.config.vocab:
+        raise ValueError("student and teacher vocabularies differ")
     return _train(student, data, cfg,
                   lambda tokens, masks: _stage2_loss(student, teacher, tokens,
                                                      masks, cfg))

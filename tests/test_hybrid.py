@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridkit.accounting import track_allocations
-from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
+from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher, save_teacher
 from hybridkit.container import read_container, write_container
 from hybridkit.gdn import CHUNK
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
@@ -25,6 +26,13 @@ def pure_models(toy_teacher, toy_mla_config, toy_gdn_config):
 @pytest.fixture(scope="module")
 def hybrid(pure_models):
     return assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
+
+
+@pytest.fixture(scope="module")
+def gated_mla(toy_teacher, toy_mla_config):
+    """A pure latent-attention model with every MLA variant on."""
+    cfg = replace(toy_mla_config, gate_mode=True, nope_mode=True, yarn_factor=2.0)
+    return convert_teacher_to_mla(toy_teacher, cfg, seed=30)
 
 
 class TestAssembly:
@@ -200,8 +208,8 @@ class TestForward:
             out = hybrid_forward(hybrid, toks, want_logits=False, want_trace=True)
         assert out.logits is None
         big = 16 * hybrid.config.vocab
-        assert all(e.elements < big for e in tracker.events
-                   if e.tag.endswith("logits"))
+        assert all(n < big for tag, n in tracker.sizes.items()
+                   if tag.endswith("logits"))
 
     def test_trace_shapes(self, hybrid, rng):
         toks = rng.integers(0, 64, size=8)
@@ -285,13 +293,37 @@ class TestMemoryPlan:
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, hybrid, tmp_path):
-        path = tmp_path / "h.ckpt"
-        save_hybrid(hybrid, path)
-        loaded = load_hybrid(path)
-        for name, t in hybrid.named_tensors().items():
-            assert np.array_equal(loaded.named_tensors()[name], t), name
-        assert loaded.layout.to_dict() == hybrid.layout.to_dict()
+    def test_round_trip_bit_exact(self, hybrid, gated_mla, pure_models, tmp_path):
+        gated = assemble_hybrid(gated_mla, pure_models[1], HybridLayout(4, (0, 2)))
+        for model in (hybrid, gated):
+            path = tmp_path / "h.ckpt"
+            save_hybrid(model, path)
+            loaded = load_hybrid(path)
+            assert list(loaded.named_tensors()) == list(model.named_tensors())
+            for name, t in model.named_tensors().items():
+                assert np.array_equal(loaded.named_tensors()[name], t), name
+            assert loaded.layout.to_dict() == model.layout.to_dict()
+            assert loaded.mla_cfg.to_dict() == model.mla_cfg.to_dict()
+
+    def test_container_headers_pinned(self, toy_teacher, gated_mla, pure_models,
+                                      hybrid, tmp_path):
+        # The JSON header holds every tensor name, its order, shape and
+        # offset, and the metadata, but no weight value: a change to the
+        # schema or to its serialization changes one of these digests.
+        path = tmp_path / "m.ckpt"
+        digests = {}
+        for kind, model in (("teacher", toy_teacher), ("mla_gated", gated_mla),
+                            ("gdn", pure_models[1]), ("hybrid", hybrid)):
+            (save_teacher if kind == "teacher" else save_hybrid)(model, path)
+            with open(path, "rb") as f:
+                header = f.read(int.from_bytes(f.read(8), "little"))
+            digests[kind] = hashlib.sha256(header).hexdigest()
+        assert digests == {
+            "teacher": "d155cbd4afc63f4c4e36ab5094b29ca1f0320339c5337071418d20751106ef57",
+            "mla_gated": "fc6e37cee5e50d517228e1e14d05b2c8625aba4d92a2b165d81d5cf61c977361",
+            "gdn": "404296899e6933d5d3cc5209a1ca1dc3cbd33b01034235e292eb1abd7512c9c1",
+            "hybrid": "38858e41c4e35de3f6dd3d44df64dfec79d2c8570be781cbb9a01150a21faa5a",
+        }
 
     def test_missing_tensor_named(self, hybrid, tmp_path):
         path = tmp_path / "h.ckpt"

@@ -146,8 +146,8 @@ class TestStage2:
         T, V = 48, toy_teacher.config.vocab
         with track_allocations() as tracker:
             train_stage2_sft(student, toy_teacher, data, cfg)
-        logit_allocs = [e.elements for e in tracker.events
-                        if e.tag.endswith("logits")]
+        logit_allocs = [n for tag, n in tracker.sizes.items()
+                        if tag.endswith("logits")]
         assert all(n < T * V for n in logit_allocs)
 
     def test_nonfinite_weight_skips_and_counts_every_step(self, pure_models, data):
