@@ -178,37 +178,53 @@ def delta_rule_sequential(q, k, v, g, beta, s0):
     return o, s
 
 
+def _chunk_terms(q, k, g, c0, c1, masks):
+    """Everything about chunk [c0, c1) that follows from its queries, keys and
+    gates alone: the log-decay b from the chunk start, exp(b), the tail
+    exp(b_C - b_s) <= 1, the inclusive and strict pairwise decays
+    exp(b_t - b_s) (zero above the diagonal), K K^T and Q K^T. The forward
+    builds them, and the backward rebuilds them instead of taping them.
+    `masks` are the (incl, strict) masks of a full chunk; a shorter last
+    chunk takes their leading block."""
+    C = c1 - c0
+    qc, kc = q[:, c0:c1], k[:, c0:c1]
+    b = np.cumsum(g[:, c0:c1], axis=1)          # (N, C)
+    # Mask in log space: upper-triangle differences are positive and may
+    # overflow.
+    db = b[:, :, None] - b[:, None, :]          # (N, C, C)
+    decay_incl = np.exp(np.where(masks[0][:C, :C], db, -np.inf))
+    decay_strict = np.where(masks[1][:C, :C], decay_incl, 0.0)
+    eb = np.exp(b)
+    tail = np.exp(b[:, -1][:, None] - b)
+    kk = np.matmul(kc, kc.transpose(0, 2, 1))
+    qk = np.matmul(qc, kc.transpose(0, 2, 1))
+    return b, eb, tail, decay_incl, decay_strict, kk, qk
+
+
+def _chunk_masks(chunk: int):
+    """The inclusive and strict lower-triangular masks of a full chunk."""
+    return np.tri(chunk, dtype=bool), np.tri(chunk, k=-1, dtype=bool)
+
+
 def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int = CHUNK,
                        tape: list | None = None):
     """Chunk-parallel equivalent of the sequential rule. Within a chunk the
     per-step corrections solve a unit-lower-triangular system A U = R
-    through A's inverse, which the tape keeps for the backward; the state
-    crosses chunk boundaries once per chunk. A chunk is the slice [:, c0:c1]
-    of each input, so the tape holds views, not copies."""
+    through A's inverse; the state crosses chunk boundaries once per chunk.
+    The tape keeps, per chunk, what the inputs cannot cheaply give back: the
+    inverse, the corrections U and the state the chunk started from."""
     N, T, dk = q.shape
     inv_sqrt = 1.0 / np.sqrt(dk)
     s = s0.copy()                       # (N, dk, dv)
     o = np.empty(v.shape)
-    # Masks and identity of a full chunk; a shorter last chunk takes their
-    # leading block.
-    incl_full = np.tri(chunk, dtype=bool)
-    strict_full = np.tri(chunk, k=-1, dtype=bool)
+    masks = _chunk_masks(chunk)
     eye_full = np.eye(chunk)
     for c0 in range(0, T, chunk):
         c1 = min(c0 + chunk, T)
         C = c1 - c0
         qc, kc, vc, bc = q[:, c0:c1], k[:, c0:c1], v[:, c0:c1], beta[:, c0:c1]
-        b = np.cumsum(g[:, c0:c1], axis=1)      # (N, C) log-decay from chunk start
-
-        # Pairwise decay exp(b_t - b_s), zeroed above the diagonal. Mask in
-        # log space: upper-triangle differences are positive and may overflow.
-        db = b[:, :, None] - b[:, None, :]      # (N, C, C)
-        decay_incl = np.exp(np.where(incl_full[:C, :C], db, -np.inf))
-        decay_strict = np.where(strict_full[:C, :C], decay_incl, 0.0)
-        eb = np.exp(b)                          # (N, C)
-        tail = np.exp(b[:, -1][:, None] - b)    # (N, C) exp(b_C - b_s) <= 1
-
-        kk = np.matmul(kc, kc.transpose(0, 2, 1))
+        b, eb, tail, decay_incl, decay_strict, kk, qk = _chunk_terms(q, k, g, c0, c1,
+                                                                    masks)
         A = bc[:, :, None] * decay_strict
         A *= kk
         A += eye_full[:C, :C]                   # I + beta * D_str * (K K^T)
@@ -216,37 +232,34 @@ def delta_rule_chunked(q, k, v, g, beta, s0, chunk: int = CHUNK,
         # backward (lambda = A^-T dU); A is unit lower triangular with
         # off-diagonal entries below 1 in magnitude, so no pivot is taken.
         a_inv = np.linalg.inv(A)
-        ks = np.matmul(kc, s)                   # (N, C, dv)
-        rhs = eb[:, :, None] * ks
+        rhs = np.matmul(kc, s)                  # (N, C, dv) K S
+        rhs *= eb[:, :, None]
         np.subtract(vc, rhs, out=rhs)
         rhs *= bc[:, :, None]                   # beta * (V - eb * (K S))
         u = np.matmul(a_inv, rhs)               # (N, C, dv) per-step corrections
 
+        o_c = np.matmul(decay_incl * qk, u)
         qs = np.matmul(qc, s)
-        qk = np.matmul(qc, kc.transpose(0, 2, 1))
-        p = decay_incl * qk
-        o_c = np.matmul(p, u)
-        o_c += eb[:, :, None] * qs
+        qs *= eb[:, :, None]
+        o_c += qs
         np.multiply(o_c, inv_sqrt, out=o[:, c0:c1])
 
         if tape is not None:
-            tape.append(dict(qc=qc, kc=kc, vc=vc, bc=bc, b=b, eb=eb, tail=tail,
-                             decay_strict=decay_strict, decay_incl=decay_incl,
-                             kk=kk, qk=qk, a_inv=a_inv, u=u, ks=ks, qs=qs, s_in=s,
-                             span=(c0, c1)))
+            tape.append(dict(a_inv=a_inv, u=u, s_in=s, span=(c0, c1)))
         s = np.exp(b[:, -1])[:, None, None] * s + np.matmul(
             (kc * tail[:, :, None]).transpose(0, 2, 1), u)
     return o, s
 
 
-def delta_rule_chunked_backward(tape: list, do):
-    """Adjoint of delta_rule_chunked; `do` is the gradient wrt the raw reads
-    (pre 1/sqrt scaling applied here, matching the forward)."""
-    first = tape[0]
-    N, _, dk = first["qc"].shape
-    dv_dim = first["u"].shape[-1]
-    T = do.shape[1]
+def delta_rule_chunked_backward(q, k, v, g, beta, tape: list, do):
+    """Adjoint of delta_rule_chunked over the same inputs (q, k, v, g, beta);
+    `do` is the gradient wrt the raw reads (pre 1/sqrt scaling applied here,
+    matching the forward). Each chunk's decays, K K^T, Q K^T, K S_in and
+    Q S_in are rebuilt from the inputs and the taped S_in."""
+    N, T, dk = q.shape
+    dv_dim = v.shape[-1]
     inv_sqrt = 1.0 / np.sqrt(dk)
+    masks = _chunk_masks(tape[0]["span"][1] - tape[0]["span"][0])
 
     dq = np.empty((N, T, dk))
     dk_out = np.empty((N, T, dk))
@@ -258,14 +271,16 @@ def delta_rule_chunked_backward(tape: list, do):
     for ch in reversed(tape):
         c0, c1 = ch["span"]
         C = c1 - c0
-        qc, kc, vc, bc = ch["qc"], ch["kc"], ch["vc"], ch["bc"]
-        eb, tail, u, s_in = ch["eb"], ch["tail"], ch["u"], ch["s_in"]
+        qc, kc, vc, bc = q[:, c0:c1], k[:, c0:c1], v[:, c0:c1], beta[:, c0:c1]
+        u, s_in = ch["u"], ch["s_in"]
+        b, eb, tail, decay_incl, decay_strict, kk, qk = _chunk_terms(q, k, g, c0, c1,
+                                                                    masks)
         do_c = do[:, c0:c1] * inv_sqrt
 
         db = np.zeros((N, C))
         # S_out = exp(b_C) S_in + K^T (tail * U)
-        ds_in = np.exp(ch["b"][:, -1])[:, None, None] * ds
-        db[:, -1] += np.exp(ch["b"][:, -1]) * np.sum(ds * s_in, axis=(1, 2))
+        ds_in = np.exp(b[:, -1])[:, None, None] * ds
+        db[:, -1] += np.exp(b[:, -1]) * np.sum(ds * s_in, axis=(1, 2))
         dw = np.matmul(kc, ds)                              # (N, C, dv)
         dkc = np.matmul(tail[:, :, None] * u, ds.transpose(0, 2, 1))
         du = tail[:, :, None] * dw
@@ -276,13 +291,13 @@ def delta_rule_chunked_backward(tape: list, do):
         # O = eb * (Q S_in) + P U  with P = D_inc * (Q K^T)
         dq[:, c0:c1] = eb[:, :, None] * np.matmul(do_c, s_in.transpose(0, 2, 1))
         ds_in += np.matmul((eb[:, :, None] * qc).transpose(0, 2, 1), do_c)
-        db += eb * np.sum(do_c * ch["qs"], axis=-1)
+        db += eb * np.sum(do_c * np.matmul(qc, s_in), axis=-1)
         dp = np.matmul(do_c, u.transpose(0, 2, 1))          # (N, C, C)
-        du += np.matmul((ch["decay_incl"] * ch["qk"]).transpose(0, 2, 1), do_c)
-        dqk = dp * ch["decay_incl"]
+        du += np.matmul((decay_incl * qk).transpose(0, 2, 1), do_c)
+        dqk = dp * decay_incl
         dq[:, c0:c1] += np.matmul(dqk, kc)
         dkc += np.matmul(dqk.transpose(0, 2, 1), qc)
-        e_inc = dqk * ch["qk"]                              # dD_inc * D_inc
+        e_inc = dqk * qk                                    # dD_inc * D_inc
         db += e_inc.sum(axis=2) - e_inc.sum(axis=1)
 
         # U = A^{-1} R
@@ -291,20 +306,21 @@ def delta_rule_chunked_backward(tape: list, do):
         dr = lam
 
         # R = beta * (V - eb * (K S_in))
-        core = vc - eb[:, :, None] * ch["ks"]
+        ks = np.matmul(kc, s_in)
+        core = vc - eb[:, :, None] * ks
         dbeta[:, c0:c1] = np.sum(dr * core, axis=-1)
         dv_out[:, c0:c1] = bc[:, :, None] * dr
         m = -(bc * eb)[:, :, None] * dr
-        db -= bc * eb * np.sum(dr * ch["ks"], axis=-1)
+        db -= bc * eb * np.sum(dr * ks, axis=-1)
         dkc += np.matmul(m, s_in.transpose(0, 2, 1))
         ds_in += np.matmul(kc.transpose(0, 2, 1), m)
 
         # A = I + beta * D_str * (K K^T)
-        da_str = dA * ch["decay_strict"]
-        dbeta[:, c0:c1] += np.sum(da_str * ch["kk"], axis=-1)
+        da_str = dA * decay_strict
+        dbeta[:, c0:c1] += np.sum(da_str * kk, axis=-1)
         dkk = bc[:, :, None] * da_str
         dkc += np.matmul(dkk + dkk.transpose(0, 2, 1), kc)
-        e_str = dkk * ch["kk"]
+        e_str = dkk * kk
         db += e_str.sum(axis=2) - e_str.sum(axis=1)
 
         # b = cumsum(g) within the chunk
@@ -345,42 +361,52 @@ def _unfold_heads(x, B):
     return x.reshape(B, -1, *x.shape[1:]).swapaxes(1, 2)
 
 
+def _fold_core_inputs(w: GdnBlockWeights, cfg: GdnConfig, q, k, v, a_pre, beta):
+    """The chunk core's inputs, batch and heads folded, from the SiLU outputs
+    q, k, v (B, T, d_k | d_v) and the gate pre-activations: q and k (before
+    their L2 norm), v, the forget gate g = -exp(a_log) * softplus(a_pre) < 0
+    and beta. The forward builds them once; the backward rebuilds them from
+    its tape."""
+    B, T = q.shape[:2]
+    H, hk, hv = cfg.n_heads, cfg.head_k, cfg.head_v
+    g = -np.exp(w.a_log) * softplus(a_pre)          # (B, T, H)
+    return (_fold_heads(q.reshape(B, T, H, hk)), _fold_heads(k.reshape(B, T, H, hk)),
+            _fold_heads(v.reshape(B, T, H, hv)), _fold_heads(g), _fold_heads(beta))
+
+
 def _gdn_layer_forward(w: GdnBlockWeights, cfg: GdnConfig, x, state, tape):
     """The chunked mixer body behind training and prefill. x is one sequence
     (T, d), optionally continued from `state`, or a batch (B, T, d) of fresh
-    sequences. Returns (y, carried GdnState); the state is None for a batch."""
+    sequences. Returns (y, carried GdnState); the state is None for a batch.
+    The tape holds the layer's inputs and pre-activations (x, the raw and
+    conv projections, the gate pre-activations, beta, the read o_head) and
+    the core's per-chunk tape; `gdn_backward` rebuilds everything else."""
     single = x.ndim == 2
     xb = x[None] if single else x
     if not single and state is not None:
         raise ValueError("state continuation requires a single sequence")
     B, T = xb.shape[0], xb.shape[1]
-    H, hk, hv = cfg.n_heads, cfg.head_k, cfg.head_v
+    H, hv = cfg.n_heads, cfg.head_v
     q, k, v, (q0, k0, v0) = _project_qkv(w, xb, state, tape)
 
     a_pre = xb @ w.w_alpha.T + w.dt_bias
-    g = -np.exp(w.a_log) * softplus(a_pre)          # (B, T, H), strictly < 0
     beta = sigmoid(xb @ w.w_beta.T)                 # (B, T, H), in (0, 1)
-
-    # Unit-norm keys keep the delta-rule write contractive for any beta.
-    q_pre = _fold_heads(q.reshape(B, T, H, hk))
-    k_pre = _fold_heads(k.reshape(B, T, H, hk))
-    s0 = np.zeros((B * H, hk, hv)) if state is None else state.s
+    q_pre, k_pre, v_c, g_c, beta_c = _fold_core_inputs(w, cfg, q, k, v, a_pre, beta)
+    s0 = np.zeros((B * H, cfg.head_k, hv)) if state is None else state.s
     core_tape = [] if tape is not None else None
-    o_raw, s_new = delta_rule_chunked(
-        l2norm(q_pre), l2norm(k_pre), _fold_heads(v.reshape(B, T, H, hv)),
-        _fold_heads(g), _fold_heads(beta), s0, tape=core_tape)
+    # Unit-norm keys keep the delta-rule write contractive for any beta.
+    o_raw, s_new = delta_rule_chunked(l2norm(q_pre), l2norm(k_pre), v_c, g_c, beta_c,
+                                      s0, tape=core_tape)
 
     gate_pre = xb @ w.w_g.T                         # (B, T, d_v)
     o_head = _unfold_heads(o_raw, B)                # (B, T, H, hv)
-    o_n = rmsnorm(o_head, w.o_norm, 1e-6)
     gated = silu(gate_pre).reshape(B, T, H, hv)
-    gated *= o_n
+    gated *= rmsnorm(o_head, w.o_norm, 1e-6)
     y = gated.reshape(B, T, cfg.d_v) @ w.w_o.T
 
     if tape is not None:
-        tape.update(x=xb, q_pre=q_pre, k_pre=k_pre, g=g, beta=beta,
-                    a_pre=a_pre, gate_pre=gate_pre, o_head=o_head, o_n=o_n,
-                    gated=gated, core=core_tape)
+        tape.update(x=xb, a_pre=a_pre, beta=beta, gate_pre=gate_pre, o_head=o_head,
+                    core=core_tape)
 
     if not single:
         return y, None
@@ -450,7 +476,10 @@ def gdn_forward_train(w: GdnBlockWeights, cfg: GdnConfig, x, tape: dict):
 
 def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     """Reverse-mode pass of gdn_forward_train: the chunked core over fresh
-    sequences, reversed from the tape that forward filled."""
+    sequences, reversed from the tape that forward filled. The sigmoids of
+    q1, k1, v1 and gate_pre are taken once each and serve both the rebuilt
+    SiLU outputs (silu(x) = x sigmoid(x)) and the SiLU adjoints; from them
+    the core inputs, the normed read o_n and the gated output are rebuilt."""
     x = tape["x"]                  # (B, T, d)
     single = dy.ndim == 2
     dyb = dy[None] if single else dy
@@ -459,32 +488,37 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     x_flat = x.reshape(B * T, -1)
     grads = {}
 
-    dgated = (dyb @ w.w_o).reshape(B, T, H, hv)
-    grads["w_o"] = dyb.reshape(B * T, -1).T @ tape["gated"].reshape(B * T, cfg.d_v)
+    pre = {n: tape[f"{n}1"] for n in "qkv"}
+    sig = {n: sigmoid(p) for n, p in pre.items()}
+    a_pre, beta = tape["a_pre"], tape["beta"]
+    q_pre, k_pre, v_c, g_c, beta_c = _fold_core_inputs(
+        w, cfg, *(sig[n] * pre[n] for n in "qkv"), a_pre, beta)   # silu = x sigmoid(x)
 
     gate_pre = tape["gate_pre"].reshape(B, T, H, hv)
+    o_n = rmsnorm(tape["o_head"], w.o_norm, 1e-6)
     s = sigmoid(gate_pre)
+    dgated = (dyb @ w.w_o).reshape(B, T, H, hv)
     dgate_pre = silu_grad(gate_pre, s)
-    dgate_pre *= tape["o_n"]
+    dgate_pre *= o_n
     dgate_pre *= dgated
     dgate_pre = dgate_pre.reshape(B, T, cfg.d_v)
+    s *= gate_pre               # silu(gate_pre)
+    o_n *= s                    # gated
+    grads["w_o"] = dyb.reshape(B * T, -1).T @ o_n.reshape(B * T, cfg.d_v)
     do_n = s
-    do_n *= gate_pre            # silu(gate_pre)
     do_n *= dgated
     grads["w_g"] = dgate_pre.reshape(B * T, -1).T @ x_flat
     dx = dgate_pre @ w.w_g
 
     do_head, grads["o_norm"] = rmsnorm_backward(tape["o_head"], w.o_norm, 1e-6, do_n)
-    dq, dk, dv, dg, dbeta = delta_rule_chunked_backward(tape["core"],
-                                                        _fold_heads(do_head))
-    dq = l2norm_backward(tape["q_pre"], dq)
-    dk = l2norm_backward(tape["k_pre"], dk)
+    dq, dk, dv, dg, dbeta = delta_rule_chunked_backward(
+        l2norm(q_pre), l2norm(k_pre), v_c, g_c, beta_c, tape["core"], _fold_heads(do_head))
+    dpost = {"q": l2norm_backward(q_pre, dq), "k": l2norm_backward(k_pre, dk), "v": dv}
     dg, dbeta = _unfold_heads(dg, B), _unfold_heads(dbeta, B)     # (B, T, H)
 
     # Forget gate g = -exp(a_log) * softplus(a_pre), so dg/da_log = g.
-    g, beta = tape["g"], tape["beta"]
-    grads["a_log"] = np.sum((dg * g).reshape(B * T, H), axis=0)
-    da_pre = dg * (-np.exp(w.a_log)) * sigmoid(tape["a_pre"])
+    grads["a_log"] = np.sum((dg * _unfold_heads(g_c, B)).reshape(B * T, H), axis=0)
+    da_pre = dg * (-np.exp(w.a_log)) * sigmoid(a_pre)
     grads["dt_bias"] = np.sum(da_pre.reshape(B * T, H), axis=0)
     grads["w_alpha"] = da_pre.reshape(B * T, H).T @ x_flat
     dx += da_pre @ w.w_alpha
@@ -494,12 +528,10 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
     dx += db_pre @ w.w_beta
 
     # Through SiLU and the causal convs back to the raw projections.
-    for name, dpost, conv_w, proj_w in (("q", dq, w.conv_q, w.w_q),
-                                        ("k", dk, w.conv_k, w.w_k),
-                                        ("v", dv, w.conv_v, w.w_v)):
-        pre = tape[f"{name}1"]
-        d1 = silu_grad(pre, sigmoid(pre))
-        d1 *= _unfold_heads(dpost, B).reshape(B, T, -1)
+    for name, conv_w, proj_w in (("q", w.conv_q, w.w_q), ("k", w.conv_k, w.w_k),
+                                 ("v", w.conv_v, w.w_v)):
+        d1 = silu_grad(pre[name], sig[name])
+        d1 *= _unfold_heads(dpost[name], B).reshape(B, T, -1)
         d0, dconv = causal_conv1d_backward(tape[f"{name}0"], conv_w, d1)
         grads[f"conv_{name}"] = dconv
         grads[f"w_{name}"] = d0.reshape(B * T, -1).T @ x_flat

@@ -242,7 +242,9 @@ def hybrid_backward(model: HybridModel, tapes: list, d_final: np.ndarray | None,
             dh = dh + dh_layers[i]
         dx2, mlp_grads = swiglu_backward(tape["mlp"], ly.mlp_gate, ly.mlp_up,
                                          ly.mlp_down, dh)
-        dh_mid, dg_norm2 = rmsnorm_backward(tape["h_mid"], ly.norm_mlp, cfg.eps, dx2)
+        shared = {f"mlp_{k}": g for k, g in mlp_grads.items()}
+        dh_mid, shared["norm_mlp"] = rmsnorm_backward(tape["h_mid"], ly.norm_mlp,
+                                                      cfg.eps, dx2)
         dh_mid = dh_mid + dh
         da = dh_mid.copy()
         if da_layers is not None and da_layers[i] is not None:
@@ -251,15 +253,12 @@ def hybrid_backward(model: HybridModel, tapes: list, d_final: np.ndarray | None,
             dx, mixer_grads = mla_backward(ly.mixer, model.mla_cfg, tape, da)
         else:
             dx, mixer_grads = gdn_backward(ly.mixer, model.gdn_cfg, tape, da)
-        dh_in, dg_norm1 = rmsnorm_backward(tape["layer_in"], ly.norm_attn, cfg.eps, dx)
+        dh_in, shared["norm_attn"] = rmsnorm_backward(tape["layer_in"], ly.norm_attn,
+                                                      cfg.eps, dx)
         dh = dh_mid + dh_in
 
-        p = f"layers.{i}"
-        grads[f"{p}.norm_attn"] = dg_norm1
-        grads[f"{p}.norm_mlp"] = dg_norm2
-        grads[f"{p}.mlp.gate"] = mlp_grads["gate"]
-        grads[f"{p}.mlp.up"] = mlp_grads["up"]
-        grads[f"{p}.mlp.down"] = mlp_grads["down"]
+        for f, name in SHARED_LAYER_TENSORS.items():
+            grads[f"layers.{i}.{name}"] = shared[f]
         for k, v in mixer_grads.items():
             grads[f"{ly.kind}.{i}.{k}"] = v
     return grads

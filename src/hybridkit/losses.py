@@ -15,7 +15,11 @@ intermediate-layer alignment loss over hidden states and mixer outputs.
 
 Each loss reports `peak_elements`: the largest transient working buffer it
 reports through `record_alloc`, in scalar elements, so the value equals the
-peak of a `track_allocations()` around the call.
+peak of a `track_allocations()` around the call. kl_naive, kl_chunked and
+the fused CE hold what they record and no more: the KL row blocks work in
+the gradient's rows and one scratch block, and the CE in one logit slice
+that every row block reuses. kl_online and kl_hidden still build tile-sized
+temporaries beyond their record.
 """
 
 from dataclasses import dataclass
@@ -23,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accounting import record_alloc
-from .numerics import log_softmax
 
 
 @dataclass
@@ -98,34 +101,52 @@ def ild_grads(student_trace, teacher_trace):
 # KL paths
 # ---------------------------------------------------------------------------
 
-def _kl_row_blocks(z_s, z_t, C: int, swap: bool, tag: str):
-    """Token-mean KL and its gradient over row blocks of C tokens, each block
-    materializing both (rows, V) log-softmax tensors.
+def _exp_rows(z, out):
+    """out = exp(z - max(z)) per row; returns the row sums of out and the row
+    log-sum-exp of z."""
+    m = np.max(z, axis=-1)
+    np.subtract(z, m[:, None], out=out)
+    np.exp(out, out=out)
+    total = np.sum(out, axis=-1)
+    return total, m + np.log(total)
 
-    Default direction is KL(student || teacher); `swap` computes
-    KL(teacher || student), whose student gradient is p_s - p_t."""
+
+def _kl_row_blocks(z_s, z_t, C: int, swap: bool, tag: str):
+    """Token-mean KL and its gradient over row blocks of C tokens.
+
+    Each block works in two (rows, V) buffers: its rows of the returned
+    gradient and one scratch block allocated once per call, which is what
+    `record_alloc` reports. The student's exp is taken once, as
+    p_s = e_s / sum(e_s). Default direction, KL(student || teacher): the
+    teacher's exp gives only its log-sum-exp, then the scratch holds
+    ell = (z_s - z_t) - (lse_s - lse_t) = log p_s - log p_t, and the
+    gradient is p_s (ell - KL). `swap` computes KL(teacher || student),
+    whose student gradient is p_s - p_t and whose value is
+    sum(p_t (z_t - z_s)) - (lse_t - lse_s), with p_t in the scratch."""
     T, V = z_s.shape
     scale = 1.0 / T
     grad = np.empty_like(z_s)
+    work = np.empty((C, V))
     total = 0.0
     for c0 in range(0, T, C):
         c1 = min(c0 + C, T)
         record_alloc(tag, 2 * (c1 - c0) * V)
-        lp_s, lp_t = log_softmax(z_s[c0:c1]), log_softmax(z_t[c0:c1])
-        # Everything below runs in place in lp_s, lp_t and grad's rows.
-        g = grad[c0:c1]
+        zs, zt = z_s[c0:c1], z_t[c0:c1]
+        g, w = grad[c0:c1], work[:c1 - c0]
+        sum_s, lse_s = _exp_rows(zs, g)
+        g /= sum_s[:, None]                             # p_s
+        sum_t, lse_t = _exp_rows(zt, w)
         if swap:
-            np.exp(lp_t, out=g)                         # p_t
-            lp_t -= lp_s
-            d = np.einsum("ij,ij->i", g, lp_t)
-            np.exp(lp_s, out=lp_s)                      # p_s
-            np.subtract(lp_s, g, out=g)
+            w /= sum_t[:, None]                         # p_t
+            d = (np.einsum("ij,ij->i", w, zt) - np.einsum("ij,ij->i", w, zs)
+                 - (lse_t - lse_s))
+            g -= w
         else:
-            np.exp(lp_s, out=g)                         # p_s
-            lp_s -= lp_t                                # ell
-            d = np.einsum("ij,ij->i", g, lp_s)
-            lp_s -= d[:, None]
-            g *= lp_s
+            np.subtract(zs, zt, out=w)
+            w -= (lse_s - lse_t)[:, None]               # ell
+            d = np.einsum("ij,ij->i", g, w)
+            w -= d[:, None]
+            g *= w
         g *= scale
         total += float(np.sum(d))
     return total / T, grad
@@ -266,8 +287,9 @@ def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossVa
 
 
 def fused_linear_ce(h, w_lm, targets, cfg: LossConfig | None = None) -> LossValueAndGrad:
-    """Token-mean cross-entropy fused with the LM-head projection: at most a
-    (C, V) logit slice lives at any moment. Gradient is wrt h."""
+    """Token-mean cross-entropy fused with the LM-head projection: one (C, V)
+    logit slice, allocated once, holds each row block's logits and then, in
+    place, its softmax gradient. Gradient is wrt h."""
     cfg = cfg or LossConfig()
     targets = np.asarray(targets, dtype=np.int64)
     T = h.shape[0]
@@ -279,18 +301,20 @@ def fused_linear_ce(h, w_lm, targets, cfg: LossConfig | None = None) -> LossValu
 
     C = min(cfg.kl_chunk, T)
     grad_h = np.empty_like(h)
+    z = np.empty((C, V))            # the one logit slice, reused by every block
     total = 0.0
     for c0 in range(0, T, C):
         c1 = min(c0 + C, T)
         rows = c1 - c0
-        z = h[c0:c1] @ w_lm.T
+        zc = z[:rows]
+        np.matmul(h[c0:c1], w_lm.T, out=zc)
         record_alloc("fused_ce_logit_slice", rows * V)
         tgt = targets[c0:c1]
-        m = np.max(z, axis=-1)
-        lse = m + np.log(np.sum(np.exp(z - m[:, None]), axis=-1))
-        total += float(np.sum(lse - z[np.arange(rows), tgt]))
-        np.subtract(z, lse[:, None], out=z)
-        np.exp(z, out=z)                      # z now holds softmax probabilities
-        z[np.arange(rows), tgt] -= 1.0
-        grad_h[c0:c1] = (z / T) @ w_lm
+        z_tgt = zc[np.arange(rows), tgt]
+        sums, lse = _exp_rows(zc, zc)
+        total += float(np.sum(lse - z_tgt))
+        zc /= sums[:, None]                   # softmax probabilities
+        zc[np.arange(rows), tgt] -= 1.0
+        np.matmul(zc, w_lm, out=grad_h[c0:c1])
+    grad_h *= 1.0 / T
     return LossValueAndGrad(total / T, grad_h, peak_elements=C * V)

@@ -80,27 +80,18 @@ def softmax(x: Array) -> Array:
     return e
 
 
-def log_softmax(x: Array) -> Array:
-    """Subtracts in place, so the only x-sized buffers are the result and
-    the exp() temporary."""
-    out = x - np.max(x, axis=-1, keepdims=True)
-    out -= np.log(np.sum(np.exp(out), axis=-1, keepdims=True))
-    return out
-
-
 # Query rows per block of `causal_attention`; set by timing blocks of 16 to
 # 256 rows at the benchmark's training, prefill and teacher shapes.
 ATTN_BLOCK = 32
 _DIAG_MASK = np.triu(np.full((ATTN_BLOCK, ATTN_BLOCK), -np.inf), k=1)
 
 
-def _block_scores(q: Array, k: Array, scale: float, offset: int, i0: int,
-                  i1: int) -> Array:
-    """Scaled scores of query rows [i0, i1) against their causal key prefix
-    [0, offset + i1); only the diagonal tile holds masked (-inf) keys."""
+def _block_scores(q: Array, k: Array, offset: int, i0: int, i1: int) -> Array:
+    """Scores of the (pre-scaled) query rows [i0, i1) against their causal
+    key prefix [0, offset + i1); only the diagonal tile holds masked (-inf)
+    keys."""
     n = offset + i1
     s = np.matmul(q[..., i0:i1, :], np.swapaxes(k[..., :n, :], -1, -2))
-    s *= scale
     s[..., offset + i0:] += _DIAG_MASK[:i1 - i0, :i1 - i0]
     return s
 
@@ -108,22 +99,27 @@ def _block_scores(q: Array, k: Array, scale: float, offset: int, i0: int,
 def causal_attention(q: Array, k: Array, v: Array, scale: float, offset: int = 0):
     """Softmax attention of q (..., T, d) over k (..., S, d), v (..., S, d_v),
     leading axes broadcast; query t sees keys [0, offset + t]. Runs in blocks
-    of ATTN_BLOCK query rows, so no (..., T, S) buffer is built. Returns
-    (ctx, lse): lse (..., T) is each row's log-sum-exp of scaled scores, from
-    which `causal_attention_backward` recomputes the probabilities."""
+    of ATTN_BLOCK query rows, so no (..., T, S) buffer is built. The scale is
+    folded into q once, and each block's (rows, d_v) context is divided by
+    its row sums after the product, not its (rows, S) probabilities
+    (FlashAttention-2's deferred normalization). Returns (ctx, lse): lse
+    (..., T) is each row's log-sum-exp of scaled scores, from which
+    `causal_attention_backward` recomputes the probabilities."""
     T = q.shape[-2]
     lead = np.broadcast_shapes(q.shape[:-2], k.shape[:-2])
     ctx = np.empty(np.broadcast_shapes(lead, v.shape[:-2]) + (T, v.shape[-1]))
     lse = np.empty(lead + (T,))
+    q = q * scale
     for i0 in range(0, T, ATTN_BLOCK):
         i1 = min(i0 + ATTN_BLOCK, T)
-        p = _block_scores(q, k, scale, offset, i0, i1)
+        p = _block_scores(q, k, offset, i0, i1)
         top = np.max(p, axis=-1, keepdims=True)
         p -= top
         np.exp(p, out=p)
         z = np.sum(p, axis=-1, keepdims=True)
-        p /= z
-        np.matmul(p, v[..., :offset + i1, :], out=ctx[..., i0:i1, :])
+        c = ctx[..., i0:i1, :]
+        np.matmul(p, v[..., :offset + i1, :], out=c)
+        c /= z
         lse[..., i0:i1] = (top + np.log(z))[..., 0]
     return ctx, lse
 
@@ -133,15 +129,17 @@ def causal_attention_backward(q: Array, k: Array, v: Array, scale: float,
     """Returns (dq, dk, dv) for ctx of `causal_attention(q, k, v, scale,
     offset)`, given its `lse`, the upstream dctx and delta = sum(dctx * ctx,
     -1). q, k and v share their leading axes. Each block's probabilities are
-    recomputed as exp(scores - lse) (FlashAttention-2's backward)."""
+    recomputed as exp(scores - lse) (FlashAttention-2's backward), from the
+    same pre-scaled queries as the forward's."""
     T = q.shape[-2]
     dq = np.empty(q.shape)
     dk = np.zeros(k.shape)
     dv = np.zeros(v.shape)
+    q_scaled = q * scale
     for i0 in range(0, T, ATTN_BLOCK):
         i1 = min(i0 + ATTN_BLOCK, T)
         n = offset + i1
-        p = _block_scores(q, k, scale, offset, i0, i1)
+        p = _block_scores(q_scaled, k, offset, i0, i1)
         p -= lse[..., i0:i1, None]
         np.exp(p, out=p)
         g = dctx[..., i0:i1, :]

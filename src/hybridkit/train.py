@@ -121,11 +121,18 @@ class Adam:
 
     def step(self, grads: dict) -> bool:
         """Apply one update and return True; on a non-finite global grad
-        norm leave the weights as they are and return False."""
+        norm leave the weights as they are and return False. `grads` must
+        name every parameter and nothing else: a missing or unknown name
+        raises a ValueError rather than freezing a tensor or skewing the
+        norm."""
+        missing = [n for n in self.params if n not in grads]
+        unknown = [n for n in grads if n not in self.params]
+        if missing or unknown:
+            raise ValueError(f"gradients do not match the parameters: missing {missing}, "
+                             f"unknown {unknown}")
         lr_t = self.lr_at(self.t)
         self.t += 1
-        norm_sq = sum(float(np.vdot(g, g)) for n, g in grads.items()
-                      if n in self.params)
+        norm_sq = sum(float(np.vdot(g, g)) for g in grads.values())
         if not np.isfinite(norm_sq):
             self.last_stats = {"lr": lr_t, "grad_norm": None, "clip_scale": None}
             return False
@@ -142,9 +149,7 @@ class Adam:
         # buffer's memory goes to the next: buffers kept for the optimizer's
         # lifetime cost more in page faults than they saved on a 1-step run.
         for name, p in self.params.items():
-            g = grads.get(name)
-            if g is None:
-                continue
+            g = grads[name]
             if scale != 1.0:
                 g = g * scale
             m, v, buf = self.m[name], self.v[name], np.empty_like(p)

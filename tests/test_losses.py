@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,3 +328,38 @@ class TestFusedLinearCe:
     def test_target_out_of_range(self, rng):
         with pytest.raises(ValueError, match="out of range"):
             fused_linear_ce(np.ones((2, 3)), np.ones((4, 3)), np.array([0, 4]))
+
+
+class TestDeclaredMemory:
+    """The transient memory a loss reports is the memory it holds: the
+    traced peak stays within its peak_elements plus its output, in float64
+    bytes, and 64 KiB of per-row vectors and interpreter objects. V is the
+    benchmark's vocabulary. (Rows narrower than numpy's 8192-element ufunc
+    buffer would add that 64 KiB buffer to every broadcast operation.)"""
+
+    @staticmethod
+    def traced_peak_bytes(loss, *args):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            out = loss(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("loss", [kl_naive, kl_chunked])
+    def test_kl_row_blocks(self, rng, loss, swap):
+        T, V, C = 100, 8192, 32         # T is not a multiple of C
+        z_s, z_t = rng.normal(size=(T, V)) * 3, rng.normal(size=(T, V)) * 3
+        cfg = LossConfig(kl_chunk=C, swap_direction=swap)
+        out, peak = self.traced_peak_bytes(loss, z_s, z_t, cfg)
+        assert peak <= 8 * (out.peak_elements + out.grad.size) + 64 * 1024
+
+    def test_fused_linear_ce(self, rng):
+        T, V, d, C = 100, 8192, 16, 32
+        h, w = rng.normal(size=(T, d)), rng.normal(size=(V, d))
+        targets = rng.integers(0, V, size=T)
+        out, peak = self.traced_peak_bytes(fused_linear_ce, h, w, targets,
+                                           LossConfig(kl_chunk=C))
+        assert peak <= 8 * (out.peak_elements + out.grad.size) + 64 * 1024

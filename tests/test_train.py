@@ -233,6 +233,17 @@ class TestAdam:
         opt.step({"w": np.array([30.0, 40.0])})   # norm 50 -> scaled by 1/50
         assert np.all(np.isfinite(p["w"]))
 
+    @pytest.mark.parametrize("grads, named", [({"w": np.ones(2)}, "'b'"),
+                                              ({"w": np.ones(2), "b": np.ones(1),
+                                                "x": np.ones(1)}, "'x'")],
+                             ids=["missing", "unknown"])
+    def test_missing_or_unknown_gradient_raises(self, grads, named):
+        p = {"w": np.zeros(2), "b": np.zeros(1)}
+        opt = Adam(p, lr=1.0, total_steps=10)
+        with pytest.raises(ValueError, match=named):
+            opt.step(grads)
+        assert opt.t == 0 and not p["w"].any()
+
 
     @pytest.mark.parametrize("grad_size", [0.05, 10.0])
     def test_three_steps_match_the_reference_formula(self, rng, grad_size):
