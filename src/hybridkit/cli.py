@@ -94,18 +94,11 @@ def cmd_gen_teacher(args):
     return 0
 
 
-def _open_teacher(path):
+def _open(load, path, flag: str):
+    """`load(path)` of a checkpoint; a missing file or one of the wrong kind
+    or shape is a CliError."""
     try:
-        return load_teacher(path)
-    except FileNotFoundError:
-        raise CliError(f"--teacher file not found: {path}")
-    except ValueError as e:
-        raise CliError(str(e))
-
-
-def _open_hybrid(path, flag: str):
-    try:
-        return load_hybrid(path)
+        return load(path)
     except FileNotFoundError:
         raise CliError(f"{flag} file not found: {path}")
     except ValueError as e:
@@ -120,7 +113,7 @@ def _convert(fn, teacher, cfg, seed):
 
 
 def cmd_convert_mla(args):
-    teacher = _open_teacher(args.teacher)
+    teacher = _open(load_teacher, args.teacher, "--teacher")
     if args.mla_config:
         cfg = _config_file(MlaConfig, args.mla_config, "--mla-config")
     else:
@@ -137,7 +130,7 @@ def cmd_convert_mla(args):
 
 
 def cmd_convert_gdn(args):
-    teacher = _open_teacher(args.teacher)
+    teacher = _open(load_teacher, args.teacher, "--teacher")
     cfg = _from_flags("--heads", GdnConfig, d=teacher.config.d_model,
                       n_heads=args.heads)
     model = _convert(convert_teacher_to_gdn, teacher, cfg, args.seed)
@@ -148,8 +141,8 @@ def cmd_convert_gdn(args):
 
 
 def cmd_assemble(args):
-    pure_mla = _open_hybrid(args.mla, "--mla")
-    pure_gdn = _open_hybrid(args.gdn, "--gdn")
+    pure_mla = _open(load_hybrid, args.mla, "--mla")
+    pure_gdn = _open(load_hybrid, args.gdn, "--gdn")
     layout = _config_file(HybridLayout, args.layout, "--layout")
     model = assemble_hybrid(pure_mla, pure_gdn, layout, donor=args.donor)
     save_hybrid(model, args.out)
@@ -161,8 +154,8 @@ def cmd_assemble(args):
 
 
 def cmd_verify(args):
-    teacher = _open_teacher(args.teacher)
-    hybrid = _open_hybrid(args.hybrid, "--hybrid")
+    teacher = _open(load_teacher, args.teacher, "--teacher")
+    hybrid = _open(load_hybrid, args.hybrid, "--hybrid")
     results = verify_mod.run_verification(hybrid, teacher, seed=args.seed)
     ok = all(r.passed for r in results)
     payload = {"passed": ok, "checks": [r.to_dict() for r in results]}
@@ -189,10 +182,7 @@ def cmd_kv_report(args):
 
 def cmd_mem_plan(args):
     techniques = [t for t in (args.techniques or "").split(",") if t]
-    try:
-        plan = memory_plan(args.tokens, args.vocab, techniques)
-    except ValueError as e:
-        raise CliError(str(e))
+    plan = _from_flags("--techniques", memory_plan, args.tokens, args.vocab, techniques)
     lines = [f"logit tensor ({args.tokens} x {args.vocab} @ 2 B): "
              f"{plan.logit_tensor_bytes:,} bytes {format_gb(plan.logit_tensor_bytes)}"]
     for row, b in plan.rows.items():
@@ -205,12 +195,9 @@ def cmd_mem_plan(args):
 def _train_data(args, vocab: int, n: int):
     if args.data == "ngram":
         return gen_ngram_corpus(vocab, n, args.context_len, seed=args.data_seed)
-    if args.data == "niah":
-        ds = _from_flags("--needles/--context-len", niah_generate,
-                         args.context_len - 3, args.needles, seed=args.data_seed,
-                         vocab=vocab, n_items=n)
-        return niah_train_examples(ds)
-    raise CliError(f"unknown --data kind {args.data!r}")
+    ds = _from_flags("--needles/--context-len", niah_generate, args.context_len - 3,
+                     args.needles, seed=args.data_seed, vocab=vocab, n_items=n)
+    return niah_train_examples(ds)
 
 
 def cmd_train(args):
@@ -218,8 +205,8 @@ def cmd_train(args):
                       steps=args.steps, batch=args.batch, seed=args.seed,
                       loss_path=args.loss_path, kl_chunk=args.kl_chunk,
                       vocab_tile=args.vocab_tile, swap_kl=args.swap_kl)
-    student = _open_hybrid(args.student, "--student")
-    teacher = _open_teacher(args.teacher) if args.teacher else None
+    student = _open(load_hybrid, args.student, "--student")
+    teacher = _open(load_teacher, args.teacher, "--teacher") if args.teacher else None
     # argmax_agreement scores 4 held-out examples drawn after the training
     # ones; both generators draw in turn, so the training data is unchanged.
     data = _train_data(args, student.config.vocab, args.data_size + 4)
@@ -253,7 +240,7 @@ def cmd_train(args):
 
 
 def cmd_eval_niah(args):
-    model = _open_hybrid(args.model, "--model")
+    model = _open(load_hybrid, args.model, "--model")
     accs = {}
     for length in args.haystack_len:
         ds = _from_flags("--needles/--haystack-len", niah_generate, length,
@@ -314,8 +301,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--mla-config", required=True)
 
     sp = add("mem-plan", cmd_mem_plan, help="distillation-step memory accounting")
-    sp.add_argument("--tokens", type=int, required=True)
-    sp.add_argument("--vocab", type=int, required=True)
+    sp.add_argument("--tokens", type=_number(int, 1), required=True)
+    sp.add_argument("--vocab", type=_number(int, 1), required=True)
     sp.add_argument("--techniques", default="")
 
     sp = add("train", cmd_train, help="run a distillation stage")

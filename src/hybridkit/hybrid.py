@@ -163,7 +163,8 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
 
     `tokens` is one id sequence, or a batch of equal-length sequences (B, T)
     for fresh training forwards (no caches/offset in that case). `tapes`,
-    when given an empty list, is filled with per-layer gradient tapes.
+    when given an empty list, is filled with per-layer gradient tapes; it
+    too takes a fresh sequence only.
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -175,7 +176,7 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
     if not single and (caches is not None or position_offset):
         raise ValueError("cached decode requires a single sequence")
     taping = tapes is not None
-    if taping and position_offset != 0:
+    if taping and (caches is not None or position_offset != 0):
         raise ValueError("gradient tapes require a fresh-sequence forward")
 
     n_tokens = tokens.size

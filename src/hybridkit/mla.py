@@ -11,9 +11,11 @@ heads, and standard causal attention runs at scale 1/sqrt(d_nope + d_rope).
 The cache holds one row of r_kv + d_rope elements per token,
 [Norm(c^KV) | RoPE(k^rope)], normalized once when the token is appended.
 Prefill and training expand per-head keys [k^nope | k^rope] and values from
-it and run `numerics.causal_attention`, as the teacher's GQA does; the tape
-keeps each query row's log-sum-exp, from which `causal_attention_backward`
-recomputes the attention probabilities block by block. A decode step
+it and run `numerics.causal_attention`, as the teacher's GQA does. The
+training tape keeps x, each query row's log-sum-exp and the context before
+W_o; the backward rebuilds the projections from x through the forward's own
+`_project`, and `causal_attention_backward` recomputes the attention
+probabilities block by block from the log-sum-exp. A decode step
 attends in latent space instead (weight absorption, DeepSeek-V2 §2.1): its
 query becomes [W_kb[h]^T q^nope[h] | q^rope[h]], scores are one product with
 the cached rows, and W_vb[h] maps the attended latent back to head h's value.
@@ -99,9 +101,7 @@ def default_mla_config(teacher: TransformerConfig, cache_per_token: int | None =
 
 
 def yarn_scale(cfg: MlaConfig, factor: float) -> MlaConfig:
-    """Rescale rotary frequencies for a `factor`x longer effective context."""
-    if factor < 1.0:
-        raise ValueError("factor must be >= 1")
+    """Rescale rotary frequencies for a `factor`x (>= 1) longer context."""
     return replace(cfg, yarn_factor=factor)
 
 
@@ -213,29 +213,16 @@ def _mla_decode_step(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
     return out[None], MlaCache(kv, r_kv)
 
 
-def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
-                cache: MlaCache | None = None, position_offset: int = 0,
-                tape: dict | None = None):
-    """Causal latent attention over x (T, d), or a fresh batch (B, T, d);
-    returns (output, extended cache). With a cache, x holds new tokens
-    starting at position_offset and attends over cached tokens plus itself;
-    caching and decode are single-sequence only (batched calls return None).
-    One token without a tape takes the absorbed decode step."""
-    single = x.ndim == 2
-    if not single and (cache is not None or position_offset):
-        raise ValueError("cached decode requires a single sequence")
-    if cache is None:
-        cache = MlaCache.empty(cfg)
-    if single and x.shape[0] == 1 and tape is None:
-        return _mla_decode_step(w, cfg, x[0], cache, position_offset)
-    xb = x[None] if single else x
+def _project(w: MlaBlockWeights, cfg: MlaConfig, xb: np.ndarray, cache: MlaCache,
+             position_offset: int):
+    """Prefill/training projections of xb (B, T, d), the tokens after the
+    cached ones from `position_offset`. Returns (cq_raw, cq, ckv_raw, kv, q_h,
+    k_h, v_h, cos, sin): the query latent before and after its norm, the KV
+    latent before it, the cache rows kv (B, S, r_kv + d_rope) with the prior
+    first, and the attention inputs (B, H, T|S, d_qk|d_v)."""
     B, T = xb.shape[0], xb.shape[1]
     H, dn, dr, dv = cfg.n_heads, cfg.d_qk_nope, cfg.d_qk_rope, cfg.d_v
-    _check_position(cfg, cache, position_offset, T)
-    n_prior = len(cache)
-
-    positions = np.arange(position_offset, position_offset + T)
-    cos, sin = _mla_rope_tables(cfg, positions)
+    cos, sin = _mla_rope_tables(cfg, np.arange(position_offset, position_offset + T))
 
     cq_raw = xb @ w.w_qa.T
     cq = rmsnorm(cq_raw, w.norm_q, cfg.eps)
@@ -248,8 +235,6 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
     kr_new = kr_pre if cfg.nope_mode else apply_rope(kr_pre, cos, sin)
     kv_new = np.concatenate(
         [rmsnorm(ckv_raw, w.norm_kv, cfg.eps), kr_new], axis=-1)
-
-    record_alloc("mla_cache", (n_prior + T) * cfg.cache_per_token)
     kv = np.concatenate([np.broadcast_to(cache.kv, (B,) + cache.kv.shape), kv_new],
                         axis=1)
     S = kv.shape[1]
@@ -261,20 +246,41 @@ def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
     q_h = np.concatenate([qn, qr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, T, d_qk)
     k_h = np.concatenate([kn, kr], axis=-1).transpose(0, 2, 1, 3)  # (B, H, S, d_qk)
     v_h = (ckv @ w.w_vb.T).reshape(B, S, H, dv).transpose(0, 2, 1, 3)
+    return cq_raw, cq, ckv_raw, kv, q_h, k_h, v_h, cos, sin
+
+
+def mla_forward(w: MlaBlockWeights, cfg: MlaConfig, x: np.ndarray,
+                cache: MlaCache | None = None, position_offset: int = 0,
+                tape: dict | None = None):
+    """Causal latent attention over x (T, d), or a fresh batch (B, T, d);
+    returns (output, extended cache). With a cache, x holds new tokens
+    starting at position_offset and attends over cached tokens plus itself;
+    caching and decode are single-sequence only (batched calls return None).
+    One token without a tape takes the absorbed decode step. A tape (x, lse,
+    ctx2) needs a fresh sequence: no cached tokens and offset 0."""
+    single = x.ndim == 2
+    if not single and (cache is not None or position_offset):
+        raise ValueError("cached decode requires a single sequence")
+    if cache is None:
+        cache = MlaCache.empty(cfg)
+    if tape is not None and (len(cache) or position_offset):
+        raise ValueError("a gradient tape requires a fresh sequence "
+                         "(no cached tokens, position_offset 0)")
+    if single and x.shape[0] == 1 and tape is None:
+        return _mla_decode_step(w, cfg, x[0], cache, position_offset)
+    xb = x[None] if single else x
+    B, T = xb.shape[0], xb.shape[1]
+    _check_position(cfg, cache, position_offset, T)
+    n_prior = len(cache)
+    record_alloc("mla_cache", (n_prior + T) * cfg.cache_per_token)
+    _, _, _, kv, q_h, k_h, v_h, _, _ = _project(w, cfg, xb, cache, position_offset)
     ctx, lse = causal_attention(q_h, k_h, v_h, 1.0 / np.sqrt(cfg.d_qk), n_prior)
-    ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
-    out = out_ungated = ctx2 @ w.w_o.T
-
-    gate_pre = None
+    ctx2 = ctx.transpose(0, 2, 1, 3).reshape(B, T, cfg.n_heads * cfg.d_v)
+    out = ctx2 @ w.w_o.T
     if cfg.gate_mode:
-        gate_pre = xb @ w.w_gate.T
-        out = out * sigmoid(gate_pre)
-
+        out *= sigmoid(xb @ w.w_gate.T)
     if tape is not None:
-        tape.update(x=xb, cq_raw=cq_raw, cq=cq, q_h=q_h, ckv_raw=ckv_raw,
-                    ckv=ckv, k_h=k_h, v_h=v_h, lse=lse, n_prior=n_prior,
-                    ctx2=ctx2, cos=cos, sin=sin, gate_pre=gate_pre,
-                    out_ungated=out_ungated if cfg.gate_mode else None)
+        tape.update(x=xb, lse=lse, ctx2=ctx2)
     if single:
         return out[0], MlaCache(kv[0], cfg.r_kv)
     return out, None
@@ -284,57 +290,55 @@ def mla_backward(w: MlaBlockWeights, cfg: MlaConfig, tape: dict, dout: np.ndarra
     """Reverse-mode pass of the prefill forward; returns (dx, grads dict)."""
     single = dout.ndim == 2
     dout_b = dout[None] if single else dout
-    x, q_h, k_h, v_h = tape["x"], tape["q_h"], tape["k_h"], tape["v_h"]
-    B, T, S = x.shape[0], x.shape[1], k_h.shape[-2]
+    x, ctx2 = tape["x"], tape["ctx2"]
+    cq_raw, cq, ckv_raw, kv, q_h, k_h, v_h, cos, sin = _project(
+        w, cfg, x, MlaCache.empty(cfg), 0)
+    B, T = x.shape[0], x.shape[1]
     H, dn, dr, dv = cfg.n_heads, cfg.d_qk_nope, cfg.d_qk_rope, cfg.d_v
-    scale = 1.0 / np.sqrt(cfg.d_qk)
     x_flat = x.reshape(B * T, -1)
     grads = {}
     dx = np.zeros_like(x)
 
     if cfg.gate_mode:
-        s = sigmoid(tape["gate_pre"])
-        dgate_pre = dout_b * tape["out_ungated"] * s * (1.0 - s)
+        s = sigmoid(x @ w.w_gate.T)
+        dgate_pre = dout_b * (ctx2 @ w.w_o.T) * s * (1.0 - s)   # ctx2 @ w_o.T: ungated
         grads["w_gate"] = dgate_pre.reshape(B * T, -1).T @ x_flat
         dx += dgate_pre @ w.w_gate
         dout_b = dout_b * s
 
     dctx2 = dout_b @ w.w_o
-    grads["w_o"] = dout_b.reshape(B * T, -1).T @ tape["ctx2"].reshape(B * T, -1)
+    grads["w_o"] = dout_b.reshape(B * T, -1).T @ ctx2.reshape(B * T, -1)
     dctx = dctx2.reshape(B, T, H, dv)
-    delta = np.sum(dctx * tape["ctx2"].reshape(B, T, H, dv), axis=-1)
+    delta = np.sum(dctx * ctx2.reshape(B, T, H, dv), axis=-1)
     dq, dk, dv_h = causal_attention_backward(
-        q_h, k_h, v_h, scale, tape["n_prior"], tape["lse"],
+        q_h, k_h, v_h, 1.0 / np.sqrt(cfg.d_qk), 0, tape["lse"],
         delta.transpose(0, 2, 1), dctx.transpose(0, 2, 1, 3))
     dq = dq.transpose(0, 2, 1, 3)                               # (B, T, H, d_qk)
-    dqr, dkr = dq[..., dn:], dk[..., dn:].sum(axis=1)           # (B, S, dr)
+    dqr, dkr = dq[..., dn:], dk[..., dn:].sum(axis=1)           # (B, T, dr)
 
-    cos, sin = tape["cos"], tape["sin"]
     if not cfg.nope_mode:
         dqr = apply_rope_backward(dqr, cos[:, None, :], sin[:, None, :])
         dkr = apply_rope_backward(dkr, cos, sin)
-    grads["w_kr"] = dkr.reshape(B * S, -1).T @ x_flat
+    grads["w_kr"] = dkr.reshape(B * T, -1).T @ x_flat
     dx += dkr @ w.w_kr
 
-    dkn = dk[..., :dn].transpose(0, 2, 1, 3).reshape(B, S, H * dn)
-    dv_flat = dv_h.transpose(0, 2, 1, 3).reshape(B, S, H * dv)
+    dkn = dk[..., :dn].transpose(0, 2, 1, 3).reshape(B, T, H * dn)
+    dv_flat = dv_h.transpose(0, 2, 1, 3).reshape(B, T, H * dv)
     dckv = dv_flat @ w.w_vb + dkn @ w.w_kb
-    ckv_flat = tape["ckv"].reshape(B * S, -1)
-    grads["w_vb"] = dv_flat.reshape(B * S, -1).T @ ckv_flat
-    grads["w_kb"] = dkn.reshape(B * S, -1).T @ ckv_flat
-    dckv_raw, grads["norm_kv"] = rmsnorm_backward(tape["ckv_raw"], w.norm_kv,
-                                                  cfg.eps, dckv)
-    grads["w_kva"] = dckv_raw.reshape(B * S, -1).T @ x_flat
+    ckv_flat = kv[..., :cfg.r_kv].reshape(B * T, -1)
+    grads["w_vb"] = dv_flat.reshape(B * T, -1).T @ ckv_flat
+    grads["w_kb"] = dkn.reshape(B * T, -1).T @ ckv_flat
+    dckv_raw, grads["norm_kv"] = rmsnorm_backward(ckv_raw, w.norm_kv, cfg.eps, dckv)
+    grads["w_kva"] = dckv_raw.reshape(B * T, -1).T @ x_flat
     dx += dckv_raw @ w.w_kva
 
     dqn = dq[..., :dn].reshape(B, T, H * dn)
     dqr_flat = dqr.reshape(B, T, H * dr)
     dcq = dqr_flat @ w.w_qr + dqn @ w.w_qb
-    cq_flat = tape["cq"].reshape(B * T, -1)
+    cq_flat = cq.reshape(B * T, -1)
     grads["w_qr"] = dqr_flat.reshape(B * T, -1).T @ cq_flat
     grads["w_qb"] = dqn.reshape(B * T, -1).T @ cq_flat
-    dcq_raw, grads["norm_q"] = rmsnorm_backward(tape["cq_raw"], w.norm_q,
-                                                cfg.eps, dcq)
+    dcq_raw, grads["norm_q"] = rmsnorm_backward(cq_raw, w.norm_q, cfg.eps, dcq)
     grads["w_qa"] = dcq_raw.reshape(B * T, -1).T @ x_flat
     dx += dcq_raw @ w.w_qa
     return (dx[0] if single else dx), grads

@@ -36,3 +36,24 @@ def toy_gdn_config():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+def distinct_elements(tape) -> int:
+    """Elements held by a (nested) tape: each array counts its base buffer,
+    once however many views of it the tape holds."""
+    bases = {}
+
+    def walk(node):
+        if isinstance(node, np.ndarray):
+            while isinstance(node.base, np.ndarray):
+                node = node.base
+            bases[id(node)] = node.size
+        elif isinstance(node, dict):
+            for child in node.values():
+                walk(child)
+        elif isinstance(node, (list, tuple)):
+            for child in node:
+                walk(child)
+
+    walk(tape)
+    return sum(bases.values())

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hybridkit
 from hybridkit.checkpoint import load_teacher
 from hybridkit.cli import main
 from hybridkit.container import read_container, write_container
@@ -116,6 +121,23 @@ class TestPipeline:
                  for line in report.read_text().splitlines()]
         assert [rec["loss"] for rec in lines[:-1]] == [None, None]
 
+    def test_train_on_niah_data(self, workdir, capsys):
+        rc = main(["train", "--stage", "2", "--student", str(workdir / "hybrid.ckpt"),
+                   "--data", "niah", "--steps", "1", "--batch", "2",
+                   "--context-len", "32", "--data-size", "2", "--json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["steps"] == 1 and np.isfinite(doc["final_loss"])
+
+    def test_convert_mla_yarn_factor(self, workdir, tmp_path, capsys):
+        out = tmp_path / "yarn.ckpt"
+        rc = main(["convert-mla", "--teacher", str(workdir / "t.ckpt"),
+                   "--mla-config", str(workdir / "mla.json"), "--yarn-factor", "2",
+                   "--out", str(out), "--json"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["mla_config"]["yarn_factor"] == 2.0
+        assert load_hybrid(out).mla_cfg.yarn_factor == 2.0
+
     def test_eval_niah_runs(self, workdir, capsys):
         rc = main(["eval-niah", "--model", str(workdir / "hybrid.ckpt"),
                    "--haystack-len", "24", "--items", "4", "--json"])
@@ -179,6 +201,8 @@ BAD_FLAGS = [
     (["eval-niah", "--model", "{d}/hybrid.ckpt", "--haystack-len", "1"],
      "--haystack-len"),
     (["eval-niah", "--model", "{d}/hybrid.ckpt", "--items", "0"], "--items"),
+    (["mem-plan", "--tokens", "0", "--vocab", "4"], "--tokens"),
+    (["mem-plan", "--tokens", "4", "--vocab", "0"], "--vocab"),
 ]
 
 
@@ -241,11 +265,29 @@ class TestErrors:
         rc = main(["mem-plan", "--tokens", "4", "--vocab", "4",
                    "--techniques", "nope"])
         assert rc == 1
+        assert "--techniques" in capsys.readouterr().err
 
     def test_wrong_checkpoint_kind_exits_one(self, workdir, capsys):
         rc = main(["convert-gdn", "--teacher", str(workdir / "hybrid.ckpt"),
                    "--out", "/tmp/x.ckpt"])
         assert rc == 1
+        rc = main(["train", "--stage", "2", "--student", str(workdir / "t.ckpt")])
+        assert rc == 1
+        assert "is not a hybrid checkpoint" in capsys.readouterr().err
+
+    def test_consecutive_skipped_steps_exit_two(self, workdir):
+        # In a subprocess: in-process, pytest turns the overflow's
+        # RuntimeWarning into an error before the run can skip a step.
+        src = str(Path(hybridkit.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run(
+            [sys.executable, "-m", "hybridkit.cli", "train", "--stage", "2",
+             "--student", str(workdir / "gdn.ckpt"), "--steps", "8",
+             "--context-len", "16", "--data-size", "4", "--batch", "1",
+             "--lr", "1e30"], capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 2, run.stderr
+        assert "consecutive optimizer steps skipped" in run.stderr
 
     def test_qk_norm_teacher_conversion_exits_one(self, tmp_path, capsys):
         cfg = {"d_model": 32, "n_layers": 2, "n_q_heads": 4, "n_kv_heads": 2,

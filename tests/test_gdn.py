@@ -14,6 +14,8 @@ from hybridkit.gdn import (CHUNK, GdnBlockWeights, GdnConfig, GdnState,
                            init_gdn_from_teacher, l2norm)
 from hybridkit.numerics import repeat_kv, rmsnorm, silu
 
+from conftest import distinct_elements
+
 
 @pytest.fixture
 def weights(toy_teacher, toy_gdn_config):
@@ -188,27 +190,6 @@ class TestLayerForward:
         expect = (rmsnorm(read, w.o_norm, 1e-6) * gate) @ w.w_o.T
         assert np.allclose(y[0], expect, atol=1e-10)
         assert np.allclose(state.s[0], s1, atol=1e-12)
-
-
-def distinct_elements(tape) -> int:
-    """Elements held by a (nested) tape: each array counts its base buffer,
-    once however many views of it the tape holds."""
-    bases = {}
-
-    def walk(node):
-        if isinstance(node, np.ndarray):
-            while isinstance(node.base, np.ndarray):
-                node = node.base
-            bases[id(node)] = node.size
-        elif isinstance(node, dict):
-            for child in node.values():
-                walk(child)
-        elif isinstance(node, (list, tuple)):
-            for child in node:
-                walk(child)
-
-    walk(tape)
-    return sum(bases.values())
 
 
 class TestTape:

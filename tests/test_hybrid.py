@@ -133,6 +133,15 @@ class TestForward:
         cont = hybrid_forward(gdn, toks[24:], caches=pre.caches)
         assert np.max(np.abs(cont.logits - full[24:])) < 1e-9
 
+    def test_tapes_reject_a_cache(self, pure_models, rng):
+        # The GDN training forward starts from a zero state, so a taped
+        # forward would drop a supplied cache without a word.
+        gdn = pure_models[1]
+        toks = rng.integers(0, 64, size=8)
+        pre = hybrid_forward(gdn, toks[:4])
+        with pytest.raises(ValueError, match="fresh-sequence"):
+            hybrid_forward(gdn, toks[4:], caches=pre.caches, tapes=[])
+
     @settings(max_examples=20)
     @given(data=st.data(), T=st.integers(2, 3 * CHUNK), seed=st.integers(0, 2 ** 16))
     def test_prompt_in_cached_calls_equals_one_shot(self, hybrid, data, T, seed):

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
-from hybridkit.mla import (MlaConfig, default_mla_config, init_mla_from_teacher,
-                           mla_backward, mla_forward, yarn_scale)
+from hybridkit.mla import (MlaBlockWeights, MlaConfig, default_mla_config,
+                           init_mla_from_teacher, mla_backward, mla_forward,
+                           yarn_scale)
 from hybridkit.numerics import ATTN_BLOCK, repeat_kv, rmsnorm
+
+from conftest import distinct_elements
 
 
 @pytest.fixture
@@ -135,6 +138,49 @@ class TestForward:
         assert len(cache) == cfg.max_context
         with pytest.raises(ValueError, match="position 9 exceeds rope table range 8"):
             mla_forward(weights, cfg, x[8:9], cache=cache, position_offset=8)
+
+    def test_cache_length_must_match_offset(self, weights, toy_mla_config, rng):
+        x = rng.normal(size=(8, 32))
+        _, cache = mla_forward(weights, toy_mla_config, x[:5])
+        # Through the one-token step and through a multi-token extension.
+        for new in (x[5:6], x[5:]):
+            with pytest.raises(ValueError, match="cache holds 5 tokens, expected 4"):
+                mla_forward(weights, toy_mla_config, new, cache=cache, position_offset=4)
+
+    def test_batched_call_with_cache_rejected(self, weights, toy_mla_config, rng):
+        _, cache = mla_forward(weights, toy_mla_config, rng.normal(size=(4, 32)))
+        with pytest.raises(ValueError, match="single sequence"):
+            mla_forward(weights, toy_mla_config, rng.normal(size=(2, 3, 32)),
+                        cache=cache, position_offset=4)
+
+
+class TestTape:
+    def test_holds_inputs_lse_and_context_only(self, rng):
+        # The benchmark's latent attention (default_mla_config of d 128, 8
+        # query / 2 KV heads of width 16) on a 512-token training sequence:
+        # x, each query row's log-sum-exp and the context before w_o, 264
+        # per token. The tape that also held the projections, the per-head
+        # q/k/v and the rope tables was 816 per token.
+        tc = TransformerConfig(d_model=128, n_layers=1, n_q_heads=8, n_kv_heads=2,
+                               head_dim=16, vocab=64, mlp_hidden=64)
+        cfg = default_mla_config(tc)
+        w = MlaBlockWeights(**{name: rng.normal(size=shape) * 0.1 for name, shape
+                               in MlaBlockWeights.shapes(cfg, tc.d_model).items()})
+        B, T = 1, 512
+        tape = {}
+        mla_forward(w, cfg, rng.normal(size=(B, T, tc.d_model)), tape=tape)
+        assert sorted(tape) == ["ctx2", "lse", "x"]
+        assert distinct_elements(tape) / (B * T) <= 272
+
+    def test_cached_forward_rejects_a_tape(self, weights, toy_mla_config, rng):
+        # The backward rebuilds the projections of a fresh sequence only.
+        x = rng.normal(size=(8, 32))
+        _, cache = mla_forward(weights, toy_mla_config, x[:5])
+        with pytest.raises(ValueError, match="fresh sequence"):
+            mla_forward(weights, toy_mla_config, x[5:], cache=cache,
+                        position_offset=5, tape={})
+        with pytest.raises(ValueError, match="fresh sequence"):
+            mla_forward(weights, toy_mla_config, x, position_offset=5, tape={})
 
 
 class TestInit:
