@@ -5,10 +5,12 @@ distributions (student distribution first):
 
   kl_naive    both (T, V) log-softmax tensors materialized
   kl_chunked  sequence chunks of C rows, only (C, V) slices live at once
-  kl_online   single pass over vocab tiles with running log-sum-exp
-              accumulators; no per-token softmax is ever materialized
-  kl_hidden   logit-free: takes final hidden states plus LM head weights,
-              projects <= C rows at a time and runs the tiled KL inside
+  kl_online   vocab tiles with running log-sum-exp accumulators; each
+              student tile is exponentiated once, into the gradient
+  kl_hidden   logit-free: takes final hidden states plus LM head weights
+              and makes one pass over the vocabulary per chunk of <= C
+              rows, each tile projected and exponentiated once and
+              back-projected under the running max
 
 plus a chunked cross-entropy that fuses the LM-head projection, and the
 intermediate-layer alignment loss over hidden states and mixer outputs.
@@ -18,8 +20,11 @@ reports through `record_alloc`, in scalar elements, so the value equals the
 peak of a `track_allocations()` around the call. kl_naive, kl_chunked and
 the fused CE hold what they record and no more: the KL row blocks work in
 the gradient's rows and one scratch block, and the CE in one logit slice
-that every row block reuses. kl_online and kl_hidden still build tile-sized
-temporaries beyond their record.
+that every row block reuses. kl_online works in the gradient's columns,
+one scratch tile and T floats per tile, within its record while
+V <= B_V^2. kl_hidden holds twice its recorded tiles (the logits and their
+exps), two (C, d) buffers and its output. All under tracemalloc
+(tests/test_losses.py::TestDeclaredMemory).
 """
 
 from dataclasses import dataclass
@@ -101,6 +106,10 @@ def ild_grads(student_trace, teacher_trace):
 # KL paths
 # ---------------------------------------------------------------------------
 
+def _row_dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _exp_rows(z, out):
     """out = exp(z - max(z)) per row; returns the row sums of out and the row
     log-sum-exp of z."""
@@ -138,13 +147,12 @@ def _kl_row_blocks(z_s, z_t, C: int, swap: bool, tag: str):
         sum_t, lse_t = _exp_rows(zt, w)
         if swap:
             w /= sum_t[:, None]                         # p_t
-            d = (np.einsum("ij,ij->i", w, zt) - np.einsum("ij,ij->i", w, zs)
-                 - (lse_t - lse_s))
+            d = _row_dot(w, zt) - _row_dot(w, zs) - (lse_t - lse_s)
             g -= w
         else:
             np.subtract(zs, zt, out=w)
             w -= (lse_s - lse_t)[:, None]               # ell
-            d = np.einsum("ij,ij->i", g, w)
+            d = _row_dot(g, w)
             w -= d[:, None]
             g *= w
         g *= scale
@@ -181,81 +189,122 @@ class _OnlineLse:
         self.m = np.full(rows, -np.inf)
         self.sum = np.zeros(rows)
 
-    def add(self, tile):
-        """Fold in a (rows, cols) tile; returns the factor that rescaled the
-        earlier sums and exp(tile - m) under the new max."""
+    def add(self, tile, out):
+        """Fold in a (rows, cols) tile, writing exp(tile - m) under the new
+        max into `out` (which may be `tile`); returns the per-row factor
+        that rescaled the earlier sums, for anything accumulated under m."""
         m_new = np.maximum(self.m, np.max(tile, axis=-1))
         scale = np.exp(self.m - m_new)
-        e = np.exp(tile - m_new[:, None])
-        self.sum = self.sum * scale + np.sum(e, axis=-1)
+        np.subtract(tile, m_new[:, None], out=out)
+        np.exp(out, out=out)
+        self.sum *= scale
+        self.sum += out @ np.ones(out.shape[1])
         self.m = m_new
-        return scale, e
+        return scale
 
     def lse(self):
         return self.m + np.log(self.sum)
 
 
-def _kl_tiled(tiles, sink, rows: int, V: int, B: int, swap: bool, T: int,
-              tag: str) -> float:
-    """Summed KL over one block of `rows` tokens without a (rows, V) buffer.
-    `tiles(b0, b1)` returns the (student, teacher) logits of vocab columns
-    [b0, b1). A first pass over tiles of width B runs the online
-    log-sum-exp; a second hands `sink(b0, b1, dz)` each tile's gradient
-    dKL/dz_s divided by T, the token count of the whole loss."""
-    acc_s, acc_t = _OnlineLse(rows), _OnlineLse(rows)
-    diff_acc = np.zeros(rows)   # sum of exp(lead - m_lead) * (lead - other)
-    for b0 in range(0, V, B):
-        b1 = min(b0 + B, V)
-        ts, tt = tiles(b0, b1)
-        record_alloc(tag, 2 * rows * (b1 - b0))
-        scale_s, e_s = acc_s.add(ts)
-        scale_t, e_t = acc_t.add(tt)
-        if swap:
-            diff_acc = diff_acc * scale_t + np.sum(e_t * (tt - ts), axis=-1)
-        else:
-            diff_acc = diff_acc * scale_s + np.sum(e_s * (ts - tt), axis=-1)
-
-    lse_s, lse_t = acc_s.lse(), acc_t.lse()
-    if swap:
-        d = diff_acc / acc_t.sum - lse_t + lse_s
-    else:
-        d = diff_acc / acc_s.sum - lse_s + lse_t
-
-    for b0 in range(0, V, B):
-        b1 = min(b0 + B, V)
-        ts, tt = tiles(b0, b1)
-        record_alloc(tag, 2 * rows * (b1 - b0))
-        p = np.exp(ts - lse_s[:, None])
-        if swap:
-            sink(b0, b1, (p - np.exp(tt - lse_t[:, None])) / T)
-        else:
-            ell = (ts - tt) - lse_s[:, None] + lse_t[:, None]
-            sink(b0, b1, p * (ell - d[:, None]) / T)
-    return float(np.sum(d))
+def _tile(buf, rows: int, cols: int):
+    """A contiguous (rows, cols) view at the head of a flat buffer."""
+    return buf[:rows * cols].reshape(rows, cols)
 
 
 def kl_online(z_s, z_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
     """Streaming KL over vocab tiles of width B_V with running-max-rescaled
-    accumulators; a second tiled pass produces the gradient."""
+    accumulators. The first pass writes each student tile's exp(z_s - m),
+    under the running max m of that moment, into the gradient's own columns
+    and keeps that m (T floats per tile); the second turns it into p_s with
+    one exp per row, exp(m - lse_s), instead of a second exp per element.
+    Every elementwise operation writes one reused, contiguous (T, B_V)
+    scratch tile and reads at most one strided column tile or broadcast
+    row vector; the columns are moved with copies only, so numpy needs at
+    most one 64 KiB buffer at a time. The call holds its (T, V) output,
+    the scratch and the tile maxes: within the 2 T B_V it records while
+    V <= B_V^2."""
     cfg = cfg or LossConfig()
     _check_same_shape(z_s, z_t)
     T, V = z_s.shape
     B = min(cfg.vocab_tile, V)
+    swap = cfg.swap_direction
     grad = np.empty_like(z_s)
+    scratch = np.empty(T * B)
+    starts = range(0, V, B)
+    refs = np.empty((len(starts), T))     # acc_s.m after each tile
+    acc_s, acc_t = _OnlineLse(T), _OnlineLse(T)
+    diff = np.zeros(T)   # sum of exp(lead - m_lead) * (lead - other)
+    for k, b0 in enumerate(starts):
+        b1 = min(b0 + B, V)
+        record_alloc("kl_online_tile", 2 * T * (b1 - b0))
+        zs, zt, g = z_s[:, b0:b1], z_t[:, b0:b1], grad[:, b0:b1]
+        y = _tile(scratch, T, b1 - b0)
+        lead, other = (zt, zs) if swap else (zs, zt)
+        np.copyto(y, lead)
+        y -= other
+        np.copyto(g, y)                                # lead - other
+        np.copyto(y, zt)
+        scale = acc_t.add(y, out=y)                    # e_t
+        if swap:
+            diff *= scale
+            diff += _row_dot(y, g)
+        np.copyto(y, zs)
+        scale = acc_s.add(y, out=y)                    # e_s
+        if not swap:
+            diff *= scale
+            diff += _row_dot(y, g)
+        np.copyto(g, y)
+        refs[k] = acc_s.m
 
-    def sink(b0, b1, dz):
-        grad[:, b0:b1] = dz
+    lse_s, lse_t = acc_s.lse(), acc_t.lse()
+    if swap:
+        d = diff / acc_t.sum - lse_t + lse_s
+        shift_t = lse_t + np.log(T)
+    else:
+        d = diff / acc_s.sum - lse_s + lse_t
+        c = diff / acc_s.sum                           # lse_s - lse_t + KL
 
-    total = _kl_tiled(lambda b0, b1: (z_s[:, b0:b1], z_t[:, b0:b1]), sink,
-                      T, V, B, cfg.swap_direction, T, "kl_online_tile")
-    return LossValueAndGrad(total / T, grad, peak_elements=2 * T * B)
+    for k, b0 in enumerate(starts):
+        b1 = min(b0 + B, V)
+        zs, zt, g = z_s[:, b0:b1], z_t[:, b0:b1], grad[:, b0:b1]
+        y = _tile(scratch, T, b1 - b0)
+        to_p = (np.exp(refs[k] - lse_s) / T)[:, None]  # e_s -> p_s / T
+        if swap:
+            np.copyto(y, g)
+            y *= to_p
+            np.copyto(g, y)                            # p_s / T
+            np.copyto(y, zt)
+            y -= shift_t[:, None]
+            np.exp(y, out=y)                           # p_t / T
+            np.subtract(g, y, out=y)
+        else:
+            np.copyto(y, zs)
+            y -= zt
+            y -= c[:, None]                            # log p_s - log p_t - KL
+            y *= g
+            y *= to_p
+        np.copyto(g, y)
+    return LossValueAndGrad(float(np.sum(d)) / T, grad, peak_elements=2 * T * B)
 
 
 def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossValueAndGrad:
-    """Logit-free KL from final hidden states and LM-head weights. Works on
-    row chunks of <= C tokens and projects one (rows, B_V) logit tile at a
-    time, so neither logit matrix is ever materialized, not even per chunk.
-    Gradient is wrt h_s."""
+    """Logit-free KL from final hidden states and LM-head weights, in one
+    pass over the vocabulary per row chunk of <= C tokens. A vocab tile's
+    logits of both heads, stacked as (2 rows, B_V) (the 2 C B_V it
+    records), are projected once and folded into one running log-sum-exp
+    over the 2 rows, which writes their exps into a second (2 C, B_V)
+    buffer. Those are back-projected half by half through one (C, d)
+    product into (rows, d) accumulators, which each tile first rescales by
+    the factor the fold returns (as FlashAttention-2 rescales its output
+    when the running max moves, arXiv 2307.08691). Neither logit matrix is
+    ever materialized, not even per chunk. So the call holds twice what it
+    records, two (C, d) buffers (the product and one accumulator) and its
+    output, whose rows hold the other accumulator. With e = exp(z - m), the
+    gradient wrt h_s:
+      KL(s || t):  A1 = sum (e_s (z_s - z_t)) W_s,  A2 = sum e_s W_s,
+                   grad = (A1 - (lse_s - lse_t + KL) A2) / (sum e_s T)
+      KL(t || s):  grad = (sum e_s W_s / sum e_s - sum e_t W_s / sum e_t) / T
+    """
     cfg = cfg or LossConfig()
     V_s, d_s = w_lm_s.shape
     V_t, d_t = w_lm_t.shape
@@ -269,20 +318,53 @@ def kl_hidden(h_s, w_lm_s, h_t, w_lm_t, cfg: LossConfig | None = None) -> LossVa
     T, V = h_s.shape[0], V_s
     C = min(cfg.kl_chunk, T)
     B = min(cfg.vocab_tile, V)
+    swap = cfg.swap_direction
+    # The lead head's distribution weights the KL; the other head's rows
+    # go above the lead's in each stacked tile.
+    (h_lead, w_lead), (h_other, w_other) = (((h_t, w_lm_t), (h_s, w_lm_s)) if swap
+                                            else ((h_s, w_lm_s), (h_t, w_lm_t)))
+    buf_z, buf_e = np.empty(2 * C * B), np.empty(2 * C * B)
+    buf_p, acc2 = np.empty((C, d_s)), np.empty((C, d_s))
     grad_h = np.zeros_like(h_s)
     total = 0.0
     for c0 in range(0, T, C):
         c1 = min(c0 + C, T)
-        hs_c, ht_c = h_s[c0:c1], h_t[c0:c1]
+        rows = c1 - c0
+        lead_c, other_c = h_lead[c0:c1], h_other[c0:c1]
+        a1, a2, prod = grad_h[c0:c1], acc2[:rows], buf_p[:rows]
+        a2[...] = 0.0
+        acc = _OnlineLse(2 * rows)          # other's rows, then the lead's
+        diff = np.zeros(rows)   # sum of exp(lead - m_lead) * (lead - other)
+        for b0 in range(0, V, B):
+            b1 = min(b0 + B, V)
+            record_alloc("kl_hidden_tile", 2 * rows * (b1 - b0))
+            z, e = _tile(buf_z, 2 * rows, b1 - b0), _tile(buf_e, 2 * rows, b1 - b0)
+            np.matmul(other_c, w_other[b0:b1].T, out=z[:rows])
+            np.matmul(lead_c, w_lead[b0:b1].T, out=z[rows:])
+            scale = acc.add(z, out=e)
+            diff *= scale[rows:]
+            a1 *= (scale[:rows] if swap else scale[rows:])[:, None]
+            a2 *= scale[rows:, None]
+            np.subtract(z[rows:], z[:rows], out=z[:rows])      # lead - other
+            diff += _row_dot(e[rows:], z[:rows])
+            if not swap:
+                np.multiply(z[:rows], e[rows:], out=e[:rows])  # e_s (z_s - z_t)
+            np.matmul(e[:rows], w_lm_s[b0:b1], out=prod)
+            a1 += prod
+            np.matmul(e[rows:], w_lm_s[b0:b1], out=prod)
+            a2 += prod
 
-        def tiles(b0, b1):
-            return hs_c @ w_lm_s[b0:b1].T, ht_c @ w_lm_t[b0:b1].T
-
-        def sink(b0, b1, dz):
-            grad_h[c0:c1] += dz @ w_lm_s[b0:b1]
-
-        total += _kl_tiled(tiles, sink, c1 - c0, V, B, cfg.swap_direction, T,
-                           "kl_hidden_tile")
+        lse, sums = acc.lse(), acc.sum
+        d = diff / sums[rows:] - lse[rows:] + lse[:rows]
+        total += float(np.sum(d))
+        if swap:
+            a1 *= (1.0 / (sums[:rows] * T))[:, None]
+            a2 *= (1.0 / (sums[rows:] * T))[:, None]
+            a1 -= a2
+        else:
+            a2 *= (diff / sums[rows:])[:, None]           # lse_s - lse_t + KL
+            a1 -= a2
+            a1 *= (1.0 / (sums[rows:] * T))[:, None]
     return LossValueAndGrad(total / T, grad_h, peak_elements=2 * C * B)
 
 

@@ -258,6 +258,46 @@ class TestBoundedPaths:
         assert abs(hid.value - ref.value) < 1e-5
         assert np.max(np.abs(hid.grad - ref.grad @ w_s)) < 1e-4
 
+    @staticmethod
+    def rescale_case(case, r):
+        """Heads whose logits carry a last column: 30 on the vocabulary
+        columns where the max of every even row should land (odd rows keep
+        theirs where it falls), or a shift of +700 (student) and -700
+        (teacher) on every logit. Returns the heads and (C, B)."""
+        T, V, C, B, cols = {"max_in_first_tile": (48, 64, 16, 16, slice(0, 16)),
+                            "max_in_last_tile": (48, 64, 16, 16, slice(48, 64)),
+                            "max_in_ragged_last_tile": (37, 70, 16, 16, slice(64, 70)),
+                            "logits_near_700": (37, 70, 16, 16, None)}[case]
+        heads = []
+        for shift in (700.0, -700.0):
+            d = int(r.integers(3, 8))
+            h = np.hstack([r.normal(size=(T, d)), np.ones((T, 1))])
+            w = np.hstack([r.normal(size=(V, d)) * 0.3, np.zeros((V, 1))])
+            if cols is None:
+                w[:, -1] = shift
+            else:
+                h[1::2, -1] = 0.0
+                w[cols, -1] = 30.0
+                assert np.all(np.isin(np.argmax(h @ w.T, axis=1)[::2],
+                                      np.arange(V)[cols]))
+            heads += [h, w]
+        return heads, C, B
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("case", ["max_in_first_tile", "max_in_last_tile",
+                                      "max_in_ragged_last_tile", "logits_near_700"])
+    def test_tiled_paths_rescale_under_the_running_max(self, rng, case, swap):
+        (h_s, w_s, h_t, w_t), C, B = self.rescale_case(case, rng)
+        z_s, z_t = h_s @ w_s.T, h_t @ w_t.T
+        cfg = LossConfig(kl_chunk=C, vocab_tile=B, swap_direction=swap)
+        ref = kl_naive(z_s, z_t, cfg)
+        online = kl_online(z_s, z_t, cfg)
+        assert abs(online.value - ref.value) < 1e-10
+        assert np.max(np.abs(online.grad - ref.grad)) < 1e-12
+        hidden = kl_hidden(h_s, w_s, h_t, w_t, cfg)
+        assert abs(hidden.value - ref.value) < 1e-10
+        assert np.max(np.abs(hidden.grad - ref.grad @ w_s)) < 1e-10
+
     @settings(max_examples=80)
     @given(T=st.integers(1, 60), V=st.integers(1, 80), C=st.integers(1, 70),
            B=st.integers(1, 90), swap=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -335,7 +375,8 @@ class TestDeclaredMemory:
     traced peak stays within its peak_elements plus its output, in float64
     bytes, and 64 KiB of per-row vectors and interpreter objects. V is the
     benchmark's vocabulary. (Rows narrower than numpy's 8192-element ufunc
-    buffer would add that 64 KiB buffer to every broadcast operation.)"""
+    buffer add that 64 KiB buffer to every broadcast operation: the tiled
+    paths' rows are one vocabulary tile wide.)"""
 
     @staticmethod
     def traced_peak_bytes(loss, *args):
@@ -363,3 +404,30 @@ class TestDeclaredMemory:
         out, peak = self.traced_peak_bytes(fused_linear_ce, h, w, targets,
                                            LossConfig(kl_chunk=C))
         assert peak <= 8 * (out.peak_elements + out.grad.size) + 64 * 1024
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_kl_online(self, rng, swap):
+        """The gradient's own columns hold each student tile's exp, so the
+        (T, B_V) scratch and the T V / B_V tile maxes fit in the second
+        recorded tile; the column tiles reach the elementwise operations
+        through copies into the scratch, one 64 KiB ufunc buffer at most."""
+        T, V = 100, 8192
+        z_s, z_t = rng.normal(size=(T, V)) * 3, rng.normal(size=(T, V)) * 3
+        cfg = LossConfig(vocab_tile=128, swap_direction=swap)
+        out, peak = self.traced_peak_bytes(kl_online, z_s, z_t, cfg)
+        assert peak <= 8 * (out.peak_elements + out.grad.size) + 64 * 1024
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("d", [128, 512])           # d = B_V and d > B_V
+    def test_kl_hidden(self, rng, d, swap):
+        """Twice the recorded tiles (the stacked logits and their exps), two
+        (C, d) buffers (the back-projection's product and one accumulator)
+        and the output gradient, whose rows hold the other accumulator; its
+        tile-wide broadcast operations add numpy's 64 KiB ufunc buffer."""
+        T, V, C, B = 300, 8192, 128, 128              # T is not a multiple of C
+        h_s, h_t = rng.normal(size=(T, d)), rng.normal(size=(T, d))
+        w_s, w_t = rng.normal(size=(V, d)) * 0.1, rng.normal(size=(V, d)) * 0.1
+        cfg = LossConfig(kl_chunk=C, vocab_tile=B, swap_direction=swap)
+        out, peak = self.traced_peak_bytes(kl_hidden, h_s, w_s, h_t, w_t, cfg)
+        held = 2 * out.peak_elements + 2 * C * d + out.grad.size
+        assert peak <= 8 * held + 2 * 64 * 1024
