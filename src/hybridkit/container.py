@@ -8,6 +8,7 @@ carries model-level metadata (kind, config, layout) and is not a tensor.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
             "byte_offset": offset,
             "byte_length": byte_length,
         }
-        chunks.append(arr32.tobytes())
+        chunks.append(arr32)
         offset += byte_length
         pad = (-offset) % ALIGN
         if pad:
@@ -88,9 +89,13 @@ def read_container(path, expected=None):
             byte_length = int(entry["byte_length"])
         except (TypeError, KeyError) as e:
             raise ContainerError(f"tensor {name!r}: incomplete index entry") from e
+        if min(shape, default=0) < 0 or byte_offset < 0 or byte_length < 0:
+            raise ContainerError(
+                f"tensor {name!r}: negative shape, byte_offset or byte_length "
+                f"(shape {list(shape)}, byte_offset {byte_offset}, byte_length {byte_length})")
         if dtype != "f32":
             raise ContainerError(f"tensor {name!r}: unsupported dtype {dtype!r}")
-        n_elem = int(np.prod(shape)) if shape else 1
+        n_elem = math.prod(shape)
         if byte_length != 4 * n_elem:
             raise ContainerError(
                 f"tensor {name!r}: byte_length {byte_length} != 4*prod(shape) {4 * n_elem}")
@@ -100,10 +105,9 @@ def read_container(path, expected=None):
             raise ContainerError(f"tensor {name!r}: payload shorter than index")
         spans.append((byte_offset, byte_offset + byte_length, name))
         raw = np.frombuffer(payload, dtype="<f4", count=n_elem, offset=byte_offset)
-        arr = raw.reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(raw).all():
             raise ContainerError(f"tensor {name!r}: non-finite payload values")
-        tensors[name] = arr
+        tensors[name] = raw.reshape(shape).astype(np.float64)
 
     spans.sort()
     for (s0, e0, n0), (s1, _e1, n1) in zip(spans, spans[1:]):

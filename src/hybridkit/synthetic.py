@@ -32,28 +32,28 @@ class NiahDataset:
     n_values: int = 0
 
 
-def _ngram_walk(successors, rng, seq_len: int, vocab: int) -> np.ndarray:
-    toks = np.empty(seq_len, dtype=np.int64)
-    toks[0] = rng.integers(0, vocab)
-    for t in range(1, seq_len):
-        if rng.random() < 0.1:
-            toks[t] = rng.integers(0, vocab)
-        else:
-            toks[t] = successors[toks[t - 1], rng.integers(0, successors.shape[1])]
-    return toks
-
-
 BRANCHING = 4   # likely successors per token in the bigram language
 
 
 def gen_ngram_corpus(vocab: int, n_sequences: int, seq_len: int, seed: int) -> list:
-    """A fixed list of sequences from the seed's bigram language. The table
-    and the walks draw from two generators seeded alike, so a longer corpus
-    extends a shorter one."""
+    """A fixed list of sequences from the seed's bigram language: position 0,
+    and a later position with probability 0.1, takes a fresh uniform token,
+    any other one of its predecessor's BRANCHING successors. The table and
+    the walks draw from two generators seeded alike; each sequence draws its
+    flags, fresh tokens and picks in turn, so a longer corpus extends a
+    shorter one. All sequences walk together, one vector step per position."""
     successors = np.random.default_rng(seed).integers(0, vocab, size=(vocab, BRANCHING))
     rng = np.random.default_rng(seed)
-    return [TrainExample(tokens=_ngram_walk(successors, rng, seq_len, vocab))
-            for _ in range(n_sequences)]
+    walk = np.empty((n_sequences, seq_len), dtype=bool)
+    toks = np.empty((n_sequences, seq_len), dtype=np.int64)
+    pick = np.empty_like(toks)
+    for i in range(n_sequences):
+        walk[i] = rng.random(seq_len) >= 0.1
+        toks[i] = rng.integers(0, vocab, seq_len)
+        pick[i] = rng.integers(0, BRANCHING, seq_len)
+    for t in range(1, seq_len):
+        np.copyto(toks[:, t], successors[toks[:, t - 1], pick[:, t]], where=walk[:, t])
+    return [TrainExample(tokens=row) for row in toks]
 
 
 def _token_ranges(vocab: int, n_keys: int, n_values: int):

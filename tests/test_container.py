@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,9 +7,50 @@ import pytest
 from hybridkit.checkpoint import (TransformerConfig, gen_toy_teacher,
                                   load_teacher, save_teacher)
 from hybridkit.container import ContainerError, read_container, write_container
+from hybridkit.hybrid import (HybridLayout, assemble_hybrid, convert_teacher_to_gdn,
+                              convert_teacher_to_mla, load_hybrid, save_hybrid)
+
+
+def _edit_index(path, name, **fields):
+    """Rewrite the header entry of tensor `name`, keeping the payload."""
+    with open(path, "rb") as f:
+        hlen = int.from_bytes(f.read(8), "little")
+        index = json.loads(f.read(hlen))
+        payload = f.read()
+    index[name].update(fields)
+    header = json.dumps(index).encode()
+    with open(path, "wb") as f:
+        f.write(len(header).to_bytes(8, "little"))
+        f.write(header)
+        f.write(payload)
 
 
 class TestContainerFormat:
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_container(path, {"w": np.array([1.0, -2.0, 0.5]),
+                               "b": np.array([[3.0], [0.25]])}, meta={"kind": "raw"})
+        header = (b'{"w": {"dtype": "f32", "shape": [3], "byte_offset": 0, "byte_length": 12}, '
+                  b'"b": {"dtype": "f32", "shape": [2, 1], "byte_offset": 16, "byte_length": 8}, '
+                  b'"__meta__": {"kind": "raw"}}')
+        assert len(header) == 180   # 4 spaces bring 8 + 180 to a multiple of 8
+        expected = ((184).to_bytes(8, "little") + header + b" " * 4
+                    + struct.pack("<3f", 1.0, -2.0, 0.5) + b"\x00" * 4
+                    + struct.pack("<2f", 3.0, 0.25))
+        assert path.read_bytes() == expected
+
+    def test_models_rewrite_byte_identical(self, tmp_path, toy_teacher, toy_mla_config,
+                                           toy_gdn_config):
+        hybrid = assemble_hybrid(convert_teacher_to_mla(toy_teacher, toy_mla_config, seed=1),
+                                 convert_teacher_to_gdn(toy_teacher, toy_gdn_config, seed=2),
+                                 HybridLayout(4, (1, 3)))
+        for model, save, load in ((toy_teacher, save_teacher, load_teacher),
+                                  (hybrid, save_hybrid, load_hybrid)):
+            first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+            save(model, first)
+            save(load(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
     def test_round_trip_bit_exact(self, tmp_path, rng):
         tensors = {"a": np.float32(rng.normal(size=(3, 5))).astype(np.float64),
                    "b.c": np.float32(rng.normal(size=7)).astype(np.float64)}
@@ -41,17 +83,27 @@ class TestContainerFormat:
     def test_byte_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "t.ckpt"
         write_container(path, {"a": np.ones(4)})
-        with open(path, "rb") as f:
-            hlen = int.from_bytes(f.read(8), "little")
-            index = json.loads(f.read(hlen))
-            payload = f.read()
-        index["a"]["byte_length"] = 12
-        header = json.dumps(index).encode()
-        with open(path, "wb") as f:
-            f.write(len(header).to_bytes(8, "little"))
-            f.write(header)
-            f.write(payload)
+        _edit_index(path, "a", byte_length=12)
         with pytest.raises(ContainerError, match="byte_length"):
+            read_container(path)
+
+    def test_shape_overflowing_int64_rejected(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_container(path, {"a": np.ones(2)})
+        _edit_index(path, "a", shape=[2**32, 2**32], byte_length=0)   # wraps to 0 in int64
+        with pytest.raises(ContainerError, match="tensor 'a': byte_length 0"):
+            read_container(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"shape": [-1], "byte_length": -4},   # would load as the whole payload
+        {"byte_offset": -8},
+        {"byte_length": -8},
+    ])
+    def test_negative_index_field_rejected(self, tmp_path, fields):
+        path = tmp_path / "t.ckpt"
+        write_container(path, {"a": np.ones(2), "b": np.ones(4)})
+        _edit_index(path, "b", **fields)
+        with pytest.raises(ContainerError, match="tensor 'b': negative"):
             read_container(path)
 
     def test_malformed_header_rejected(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridkit.synthetic import (gen_ngram_corpus, niah_eval, niah_generate,
+from hybridkit.synthetic import (BRANCHING, gen_ngram_corpus, niah_eval, niah_generate,
                                  niah_train_examples)
 
 
@@ -14,6 +14,34 @@ class TestCorpus:
     def test_token_range(self):
         for ex in gen_ngram_corpus(50, 8, 64, seed=0):
             assert ex.tokens.min() >= 0 and ex.tokens.max() < 50
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_tokens_follow_the_seeds_successor_table(self, seed):
+        # A non-first token leaves its predecessor's successor list only when
+        # the walk resets (p 0.1) to a fresh uniform token outside that list,
+        # so the share is a binomial mean of 0.1 * (1 - 4/V). Repeated entries
+        # in a table row lower it by about 0.1 * 6/V^2 (9e-6 at V 256), far
+        # inside the 5-sigma band over the 16,320 tokens checked here.
+        vocab, n, L = 256, 64, 256
+        successors = np.random.default_rng(seed).integers(0, vocab, size=(vocab, BRANCHING))
+        toks = np.stack([ex.tokens for ex in gen_ngram_corpus(vocab, n, L, seed)])
+        listed = (successors[toks[:, :-1]] == toks[:, 1:, None]).any(axis=-1)
+        p = 0.1 * (1 - BRANCHING / vocab)
+        band = 5 * np.sqrt(p * (1 - p) / listed.size)
+        assert abs((~listed).mean() - p) < band
+
+    @pytest.mark.parametrize("n, k", [(8, 3), (5, 5), (12, 1), (4, 0)])
+    def test_longer_corpus_extends_shorter(self, n, k):
+        longer = gen_ngram_corpus(64, n, 40, seed=9)[:k]
+        shorter = gen_ngram_corpus(64, k, 40, seed=9)
+        assert len(longer) == len(shorter) == k
+        assert all(np.array_equal(a.tokens, b.tokens) for a, b in zip(longer, shorter))
+
+    def test_degenerate_sizes(self):
+        single = gen_ngram_corpus(64, 3, 1, seed=2)
+        assert [ex.tokens.shape for ex in single] == [(1,)] * 3
+        assert all(ex.tokens.dtype == np.int64 for ex in single)
+        assert gen_ngram_corpus(64, 0, 16, seed=2) == []
 
 
 class TestNiah:
