@@ -174,12 +174,10 @@ def load_teacher(path) -> TeacherCheckpoint:
     layers = [TeacherLayer(**{f: tensors.get(f"layers.{i}.{name}")
                               for f, name in _LAYER_TENSORS.items()})
               for i in range(c.n_layers)]
-    ckpt = TeacherCheckpoint(
+    return TeacherCheckpoint(
         config=c,
         layers=layers,
         embedding=tensors["embedding"],
         final_norm=tensors["final_norm"],
         lm_head=tensors["lm_head"],
     )
-    ckpt.validate()
-    return ckpt

@@ -15,10 +15,10 @@ from . import verify as verify_mod
 from .checkpoint import TransformerConfig, gen_toy_teacher, load_teacher, save_teacher
 from .gdn import GdnConfig
 from .hybrid import (HybridLayout, assemble_hybrid, convert_teacher_to_gdn,
-                     convert_teacher_to_mla, format_gb, kv_cache_report,
-                     load_hybrid, memory_plan, save_hybrid)
+                     convert_teacher_to_mla, format_gb, hybrid_forward,
+                     kv_cache_report, load_hybrid, memory_plan, save_hybrid)
 from .mla import MlaConfig, default_mla_config, yarn_scale
-from .synthetic import gen_ngram_corpus, niah_eval, niah_generate, niah_train_examples
+from .synthetic import gen_ngram_corpus, niah_eval, niah_generate
 from .train import (KL_PATHS, TrainConfig, argmax_agreement, audit_distillation,
                     train_stage1_ild, train_stage2_sft)
 
@@ -105,23 +105,17 @@ def _open(load, path, flag: str):
         raise CliError(str(e))
 
 
-def _convert(fn, teacher, cfg, seed):
-    try:
-        return fn(teacher, cfg, seed=seed)
-    except ValueError as e:
-        raise CliError(str(e))
-
-
 def cmd_convert_mla(args):
     teacher = _open(load_teacher, args.teacher, "--teacher")
+    flag = "--mla-config" if args.mla_config else "--cache-per-token"
     if args.mla_config:
-        cfg = _config_file(MlaConfig, args.mla_config, "--mla-config")
+        cfg = _config_file(MlaConfig, args.mla_config, flag)
     else:
-        cfg = _from_flags("--cache-per-token", default_mla_config, teacher.config,
-                          args.cache_per_token)
+        cfg = _from_flags(flag, default_mla_config, teacher.config, args.cache_per_token)
     if args.yarn_factor > 1.0:
         cfg = yarn_scale(cfg, args.yarn_factor)
-    model = _convert(convert_teacher_to_mla, teacher, cfg, args.seed)
+    model = _from_flags(f"--teacher/{flag}", convert_teacher_to_mla, teacher, cfg,
+                        seed=args.seed)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "mla_config": cfg.to_dict()},
           [f"wrote pure latent-attention model to {args.out}",
@@ -133,7 +127,8 @@ def cmd_convert_gdn(args):
     teacher = _open(load_teacher, args.teacher, "--teacher")
     cfg = _from_flags("--heads", GdnConfig, d=teacher.config.d_model,
                       n_heads=args.heads)
-    model = _convert(convert_teacher_to_gdn, teacher, cfg, args.seed)
+    model = _from_flags("--teacher/--heads", convert_teacher_to_gdn, teacher, cfg,
+                        seed=args.seed)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "gdn_config": cfg.to_dict()},
           [f"wrote pure gated-delta model to {args.out}"])
@@ -195,9 +190,8 @@ def cmd_mem_plan(args):
 def _train_data(args, vocab: int, n: int):
     if args.data == "ngram":
         return gen_ngram_corpus(vocab, n, args.context_len, seed=args.data_seed)
-    ds = _from_flags("--needles/--context-len", niah_generate, args.context_len - 3,
-                     args.needles, seed=args.data_seed, vocab=vocab, n_items=n)
-    return niah_train_examples(ds)
+    return _from_flags("--needles/--context-len", niah_generate, args.context_len - 3,
+                       args.needles, seed=args.data_seed, vocab=vocab, n_items=n)
 
 
 def cmd_train(args):
@@ -241,12 +235,16 @@ def cmd_train(args):
 
 def cmd_eval_niah(args):
     model = _open(load_hybrid, args.model, "--model")
+
+    def predict(tokens):
+        return int(np.argmax(hybrid_forward(model, tokens).logits[-1]))
+
     accs = {}
     for length in args.haystack_len:
-        ds = _from_flags("--needles/--haystack-len", niah_generate, length,
-                         args.needles, seed=args.seed, vocab=model.config.vocab,
-                         n_items=args.items)
-        accs.update(niah_eval(model, ds))
+        examples = _from_flags("--needles/--haystack-len", niah_generate, length,
+                               args.needles, seed=args.seed, vocab=model.config.vocab,
+                               n_items=args.items)
+        accs.update(niah_eval(predict, examples))
     _emit(args, {"accuracy": {str(k): v for k, v in accs.items()}},
           [f"context {k}: accuracy {v:.1%}" for k, v in accs.items()])
     return 0

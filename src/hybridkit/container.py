@@ -28,7 +28,7 @@ def write_container(path, tensors: dict, meta: dict | None = None) -> None:
     chunks = []
     offset = 0
     for name, arr in tensors.items():
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        arr32 = np.require(arr, "<f4", "C")  # keeps a 0-d shape
         byte_length = arr32.nbytes
         index[name] = {
             "dtype": "f32",

@@ -26,8 +26,7 @@ from hybridkit.losses import (LossConfig, fused_linear_ce, kl_chunked,
                               kl_hidden, kl_naive, kl_online)
 from hybridkit.mla import MlaConfig, default_mla_config, init_mla_from_teacher
 from hybridkit.numerics import ATTN_BLOCK, f32_resolution, repeat_kv
-from hybridkit.synthetic import (gen_ngram_corpus, niah_eval, niah_generate,
-                                 niah_train_examples)
+from hybridkit.synthetic import gen_ngram_corpus
 from hybridkit.teacher import teacher_forward
 from hybridkit.train import (TrainConfig, argmax_agreement, grad_audit,
                              train_stage1_ild, train_stage2_sft)

@@ -24,9 +24,10 @@ def workdir(tmp_path_factory):
            "head_dim": 8, "vocab": 64, "mlp_hidden": 64}
     (d / "teacher.json").write_text(json.dumps(cfg))
     (d / "layout.json").write_text(json.dumps({"n_layers": 4, "mla_indices": [1, 3]}))
-    (d / "mla.json").write_text(json.dumps(
-        {"r_q": 16, "r_kv": 8, "d_qk_nope": 4, "d_qk_rope": 4, "d_v": 8,
-         "n_heads": 4}))
+    mla = {"r_q": 16, "r_kv": 8, "d_qk_nope": 4, "d_qk_rope": 4, "d_v": 8, "n_heads": 4}
+    (d / "mla.json").write_text(json.dumps(mla))
+    # Valid as a config, but beyond the teacher's query rank at conversion.
+    (d / "mla_big_rq.json").write_text(json.dumps({**mla, "r_q": 999}))
     assert main(["gen-teacher", "--config", str(d / "teacher.json"),
                  "--seed", "0", "--out", str(d / "t.ckpt")]) == 0
     assert main(["convert-mla", "--teacher", str(d / "t.ckpt"),
@@ -196,6 +197,8 @@ BAD_FLAGS = [
       "--out", "{out}"], "--yarn-factor"),
     (["convert-mla", "--teacher", "{d}/t.ckpt", "--cache-per-token", "2",
       "--out", "{out}"], "--cache-per-token"),
+    (["convert-mla", "--teacher", "{d}/t.ckpt", "--mla-config", "{d}/mla_big_rq.json",
+      "--out", "{out}"], "--mla-config"),
     (["convert-gdn", "--teacher", "{d}/t.ckpt", "--heads", "5", "--out", "{out}"],
      "--heads"),
     (["eval-niah", "--model", "{d}/hybrid.ckpt", "--haystack-len", "1"],
@@ -312,6 +315,27 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "layers.1.attn.wv" in err and "t.ckpt" in err
+
+    def test_wrong_shape_teacher_tensor_exits_one(self, workdir, tmp_path, capsys):
+        tensors, meta = read_container(workdir / "t.ckpt")
+        tensors["layers.0.attn.wq"] = tensors["layers.0.attn.wq"][:, :-1]
+        write_container(tmp_path / "bad_shape.ckpt", tensors, meta)
+        rc = main(["convert-gdn", "--teacher", str(tmp_path / "bad_shape.ckpt"),
+                   "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "layers.0.attn.wq" in err and "bad_shape.ckpt" in err
+        assert "(32, 31)" in err and "(32, 32)" in err
+
+    def test_non_finite_teacher_tensor_exits_one(self, workdir, tmp_path, capsys):
+        tensors, meta = read_container(workdir / "t.ckpt")
+        tensors["layers.2.mlp.up"][3, 5] = np.nan
+        write_container(tmp_path / "nan.ckpt", tensors, meta)
+        rc = main(["convert-gdn", "--teacher", str(tmp_path / "nan.ckpt"),
+                   "--out", str(tmp_path / "x.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "layers.2.mlp.up" in err and "non-finite" in err
 
     def test_wrong_shape_hybrid_tensor_exits_one(self, workdir, tmp_path, capsys):
         tensors, meta = read_container(workdir / "hybrid.ckpt")

@@ -61,6 +61,15 @@ class TestContainerFormat:
         for k in tensors:
             assert np.array_equal(loaded[k], tensors[k])
 
+    def test_scalar_keeps_its_shape(self, tmp_path):
+        path = tmp_path / "t.ckpt"
+        write_container(path, {"s": np.array(2.5), "v": np.ones(2)})
+        loaded, _ = read_container(path, expected={"s": (), "v": (2,)})
+        assert loaded["s"].shape == () and loaded["s"] == 2.5
+        with open(path, "rb") as f:
+            index = json.loads(f.read(int.from_bytes(f.read(8), "little")))
+        assert index["s"]["shape"] == [] and index["s"]["byte_length"] == 4
+
     def test_offsets_aligned(self, tmp_path, rng):
         tensors = {"odd": np.ones(3), "next": np.ones(5)}
         path = tmp_path / "t.ckpt"

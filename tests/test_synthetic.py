@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hybridkit.synthetic import (BRANCHING, gen_ngram_corpus, niah_eval, niah_generate,
-                                 niah_train_examples)
+from hybridkit.synthetic import (BRANCHING, N_KEYS, N_VALUES, gen_ngram_corpus, niah_eval,
+                                 niah_generate)
 
 
 class TestCorpus:
@@ -46,46 +46,39 @@ class TestCorpus:
 
 class TestNiah:
     def test_structure(self):
-        ds = niah_generate(40, 2, seed=1, vocab=64, n_items=8)
-        for item in ds.items:
-            assert item.tokens.size == 43
-            assert item.tokens[40] == 63              # query marker
-            assert item.tokens[-1] == item.answer
-            assert item.answer_pos == 41
+        for ex in niah_generate(40, 2, seed=1, vocab=64, n_items=8):
+            assert ex.tokens.size == 43
+            assert ex.tokens[40] == 63              # query marker
+            assert ex.loss_mask.shape == (42,)
+            assert np.flatnonzero(ex.loss_mask).tolist() == [41]   # only the answer
 
     def test_queried_needle_present(self):
-        ds = niah_generate(40, 1, seed=2, vocab=64, n_items=16)
-        for item in ds.items:
-            key = item.tokens[item.answer_pos]
-            hay = item.tokens[:40]
-            pos = np.where(hay == key)[0]
+        for ex in niah_generate(40, 1, seed=2, vocab=64, n_items=16):
+            key = ex.tokens[41]
+            pos = np.where(ex.tokens[:40] == key)[0]
             assert len(pos) >= 1
-            assert item.tokens[pos[0] + 1] == item.answer
+            assert ex.tokens[pos[0] + 1] == ex.tokens[42]
 
-    def test_copy_model_on_final_position_needle(self):
-        ds = niah_generate(32, 1, seed=4, vocab=64, needle_pos=30, n_items=32)
-        acc = niah_eval(lambda toks: int(toks[-3]), ds)
-        assert acc[32] == 1.0
+    def test_copy_model_retrieves_every_needle(self):
+        # Keys never occur as filler, so the key's haystack slot holds the needle.
+        def copy(toks):
+            return int(toks[np.flatnonzero(toks[:-2] == toks[-1])[0] + 1])
+
+        examples = (niah_generate(32, 3, seed=4, vocab=64, n_items=32)
+                    + niah_generate(16, 2, seed=4, vocab=64, n_items=8))
+        assert niah_eval(copy, examples) == {16: 1.0, 32: 1.0}
 
     def test_random_model_achieves_chance(self):
-        ds = niah_generate(64, 1, seed=5, vocab=64, n_values=16, n_items=400)
+        examples = niah_generate(64, 1, seed=5, vocab=64, n_items=400)
         rng = np.random.default_rng(0)
-        val0 = 64 - 16 - 1 - 8 + 8  # filler + keys boundary
-        acc = niah_eval(lambda toks: int(rng.integers(39, 55)), ds)
-        assert acc[64] < 3.0 / 16
-
-    def test_train_examples_mask_only_answer(self):
-        ds = niah_generate(24, 1, seed=6, vocab=64, n_items=4)
-        for ex, item in zip(niah_train_examples(ds), ds.items):
-            assert ex.loss_mask.sum() == 1
-            assert ex.loss_mask[item.answer_pos]
-            assert ex.tokens[item.answer_pos + 1] == item.answer
+        val0 = 64 - N_VALUES - 1   # first value id
+        acc = niah_eval(lambda toks: int(rng.integers(val0, val0 + N_VALUES)), examples)
+        assert acc[64] < 3.0 / N_VALUES
 
     def test_haystack_too_short_rejected(self):
         with pytest.raises(ValueError, match="haystack"):
             niah_generate(3, 2, seed=0)
 
-    def test_eval_accepts_model_objects(self, toy_teacher):
-        ds = niah_generate(16, 1, seed=7, vocab=64, n_items=4)
-        acc = niah_eval(toy_teacher, ds)
-        assert 0.0 <= acc[16] <= 1.0
+    def test_vocab_too_small_rejected(self):
+        with pytest.raises(ValueError, match="vocab"):
+            niah_generate(16, 1, seed=0, vocab=N_KEYS + N_VALUES + 1)

@@ -11,8 +11,7 @@ from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               hybrid_backward, hybrid_forward)
 from hybridkit.losses import kl_naive
 from hybridkit.numerics import ATTN_BLOCK
-from hybridkit.synthetic import (gen_ngram_corpus, niah_generate,
-                                 niah_train_examples)
+from hybridkit.synthetic import gen_ngram_corpus, niah_generate
 from hybridkit.teacher import teacher_forward
 from hybridkit.train import (MAX_CONSECUTIVE_SKIPS, Adam, TrainConfig, grad_audit,
                              train_stage1_ild, train_stage2_sft)
@@ -107,7 +106,7 @@ class TestStage2:
 
     def test_clip_that_drops_every_scored_position_raises(self, pure_models):
         # 48-token retrieval examples score only the answer, at position 46.
-        data = niah_train_examples(niah_generate(45, 1, seed=0, vocab=64, n_items=4))
+        data = niah_generate(45, 1, seed=0, vocab=64, n_items=4)
         student = assemble_hybrid(*pure_models, HybridLayout(4, (1, 3)))
         cfg = TrainConfig(stage=2, context_len=40, steps=5, batch=2, seed=0)
         with pytest.raises(ValueError, match="context_len 40"):
