@@ -1,17 +1,24 @@
-"""Teacher checkpoint schema: a GQA transformer's config and weights, toy
-generation, and container serialization.
+"""The one model schema: a residual stack of mixer layers, the teacher config,
+toy teacher generation, and teacher serialization.
 
-Tensor naming: `layers.{i}.attn.{wq,wk,wv,wo}`, `layers.{i}.attn.{q_norm,k_norm}`
-(optional), `layers.{i}.mlp.{gate,up,down}`, `layers.{i}.{norm_attn,norm_mlp}`,
-plus `embedding`, `final_norm`, `lm_head`.
+Every layer pairs a mixer with a SwiGLU MLP and two RMSNorms. The mixer's
+kind is "gqa" (teacher attention, `teacher.GqaWeights`), "mla" (latent
+attention) or "gdn" (gated delta rule). A teacher is a model whose layers
+are all "gqa"; conversion and assembly make the other two kinds.
+
+Tensor naming: a gqa mixer under `layers.{i}.attn.` (`wq, wk, wv, wo`, and
+`q_norm, k_norm` with qk_norm), any other mixer under `{kind}.{i}.`;
+`layers.{i}.mlp.{gate,up,down}`, `layers.{i}.{norm_attn,norm_mlp}`, plus
+`embedding`, `final_norm`, `lm_head`.
 """
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .container import read_container, write_container
 from .numerics import f32_resolution
+from .teacher import GqaWeights
 
 
 @dataclass
@@ -47,79 +54,104 @@ class TransformerConfig:
         return cls(**d)
 
 
-@dataclass
-class TeacherLayer:
-    wq: np.ndarray        # (H_q*d_h, d)
-    wk: np.ndarray        # (H_kv*d_h, d)
-    wv: np.ndarray        # (H_kv*d_h, d)
-    wo: np.ndarray        # (d, H_q*d_h)
-    mlp_gate: np.ndarray  # (mlp_hidden, d)
-    mlp_up: np.ndarray    # (mlp_hidden, d)
-    mlp_down: np.ndarray  # (d, mlp_hidden)
-    norm_attn: np.ndarray  # (d,)
-    norm_mlp: np.ndarray   # (d,)
-    q_norm: np.ndarray | None = None  # (d_h,) when config.qk_norm
-    k_norm: np.ndarray | None = None
-
-
-# Layer field -> tensor name under `layers.{i}.`, in container order. A hybrid
-# layer keeps the shared five from its teacher layer; a teacher adds attention.
+# Layer field -> tensor name under `layers.{i}.`, in container order after
+# the mixer's tensors. Conversion keeps these from the teacher layer.
 SHARED_LAYER_TENSORS = {"mlp_gate": "mlp.gate", "mlp_up": "mlp.up", "mlp_down": "mlp.down",
                         "norm_attn": "norm_attn", "norm_mlp": "norm_mlp"}
-_LAYER_TENSORS = {"wq": "attn.wq", "wk": "attn.wk", "wv": "attn.wv", "wo": "attn.wo",
-                  "q_norm": "attn.q_norm", "k_norm": "attn.k_norm", **SHARED_LAYER_TENSORS}
 
 
-def teacher_shapes(c: TransformerConfig) -> dict:
-    """Tensor name -> shape for every tensor a teacher with config `c` holds."""
-    d, h = c.d_model, c.mlp_hidden
-    q, kv = c.n_q_heads * c.head_dim, c.n_kv_heads * c.head_dim
-    layer = {"wq": (q, d), "wk": (kv, d), "wv": (kv, d), "wo": (d, q),
-             "mlp_gate": (h, d), "mlp_up": (h, d), "mlp_down": (d, h),
-             "norm_attn": (d,), "norm_mlp": (d,)}
-    if c.qk_norm:
-        layer["q_norm"] = layer["k_norm"] = (c.head_dim,)
-    shapes = {f"layers.{i}.{_LAYER_TENSORS[f]}": shape for i in range(c.n_layers)
-              for f, shape in layer.items()}
-    shapes.update(embedding=(c.vocab, d), final_norm=(d,), lm_head=(c.vocab, d))
-    return shapes
+def mixer_prefix(kind: str, i: int) -> str:
+    """Name prefix of layer i's mixer tensors."""
+    return f"layers.{i}.attn" if kind == "gqa" else f"{kind}.{i}"
 
 
 @dataclass
-class TeacherCheckpoint:
+class HybridLayer:
+    """A mixer plus the SHARED_LAYER_TENSORS."""
+    kind: str                 # "gqa" | "mla" | "gdn"
+    mixer: object             # GqaWeights | MlaBlockWeights | GdnBlockWeights
+    mlp_gate: np.ndarray      # (mlp_hidden, d)
+    mlp_up: np.ndarray        # (mlp_hidden, d)
+    mlp_down: np.ndarray      # (d, mlp_hidden)
+    norm_attn: np.ndarray     # (d,)
+    norm_mlp: np.ndarray      # (d,)
+
+
+@dataclass
+class HybridModel:
     config: TransformerConfig
-    layers: list = field(default_factory=list)
-    embedding: np.ndarray = None   # (V, d)
-    final_norm: np.ndarray = None  # (d,)
-    lm_head: np.ndarray = None     # (V, d)
+    layers: list
+    embedding: np.ndarray     # (V, d)
+    final_norm: np.ndarray    # (d,)
+    lm_head: np.ndarray       # (V, d)
+    mla_cfg: object = None    # MlaConfig, when a layer is "mla"
+    gdn_cfg: object = None    # GdnConfig, when a layer is "gdn"
 
     def named_tensors(self) -> dict:
         out = {}
         for i, ly in enumerate(self.layers):
-            for f, name in _LAYER_TENSORS.items():
-                if getattr(ly, f) is not None:
-                    out[f"layers.{i}.{name}"] = getattr(ly, f)
+            out.update(ly.mixer.named_tensors(mixer_prefix(ly.kind, i)))
+            for f, name in SHARED_LAYER_TENSORS.items():
+                out[f"layers.{i}.{name}"] = getattr(ly, f)
         out["embedding"] = self.embedding
         out["final_norm"] = self.final_norm
         out["lm_head"] = self.lm_head
         return out
 
-    def validate(self) -> None:
-        c = self.config
-        if len(self.layers) != c.n_layers:
-            raise ValueError(f"expected {c.n_layers} layers, got {len(self.layers)}")
-        tensors = self.named_tensors()
-        for name, want in teacher_shapes(c).items():
-            if tensors.get(name) is None:
-                raise ValueError(f"tensor {name} missing")
-            if tensors[name].shape != want:
-                raise ValueError(f"{name}: shape {tensors[name].shape}, expected {want}")
-        for name, t in tensors.items():
-            if not np.all(np.isfinite(t)):
-                raise ValueError(f"tensor {name} has non-finite values")
+
+def stack_shapes(c: TransformerConfig, kinds: list, mixer_shapes) -> dict:
+    """Tensor name -> shape for every tensor of a stack with config `c` whose
+    layer i has kind kinds[i]; `mixer_shapes(kind)` maps a mixer's fields to
+    their shapes."""
+    d, h = c.d_model, c.mlp_hidden
+    shared = dict(zip(SHARED_LAYER_TENSORS.values(), ((h, d), (h, d), (d, h), (d,), (d,))))
+    shapes = {}
+    for i, kind in enumerate(kinds):
+        shapes.update({f"{mixer_prefix(kind, i)}.{f}": shape
+                       for f, shape in mixer_shapes(kind).items()})
+        shapes.update({f"layers.{i}.{name}": shape for name, shape in shared.items()})
+    shapes.update(embedding=(c.vocab, d), final_norm=(d,), lm_head=(c.vocab, d))
+    return shapes
 
 
-def gen_toy_teacher(config: TransformerConfig, seed: int) -> TeacherCheckpoint:
+def stack_from_tensors(c: TransformerConfig, kinds: list, tensors: dict, mixer_shapes,
+                       mixer_types: dict, **mixer_cfgs) -> HybridModel:
+    """The model whose tensors `stack_shapes(c, kinds, mixer_shapes)` names;
+    `mixer_types` maps each kind to its weights class."""
+    layers = []
+    for i, kind in enumerate(kinds):
+        prefix = mixer_prefix(kind, i)
+        mixer = mixer_types[kind](**{f: tensors[f"{prefix}.{f}"] for f in mixer_shapes(kind)})
+        layers.append(HybridLayer(kind, mixer, **{
+            f: tensors[f"layers.{i}.{name}"] for f, name in SHARED_LAYER_TENSORS.items()}))
+    return HybridModel(c, layers, tensors["embedding"], tensors["final_norm"],
+                       tensors["lm_head"], **mixer_cfgs)
+
+
+def teacher_shapes(c: TransformerConfig) -> dict:
+    """Tensor name -> shape for every tensor a teacher with config `c` holds."""
+    return stack_shapes(c, ["gqa"] * c.n_layers, lambda _kind: GqaWeights.shapes(c))
+
+
+def validate_teacher(model: HybridModel) -> None:
+    """Raise ValueError unless `model` is a stack of gqa layers holding every
+    tensor its config names, at its shape, with finite values."""
+    c = model.config
+    kinds = [ly.kind for ly in model.layers]
+    if kinds != ["gqa"] * c.n_layers:
+        raise ValueError(f"expected {c.n_layers} gqa layers, got {kinds}")
+    tensors = model.named_tensors()
+    for name, want in teacher_shapes(c).items():
+        if tensors.get(name) is None:
+            raise ValueError(f"tensor {name} missing")
+        if tensors[name].shape != want:
+            raise ValueError(f"{name}: shape {tensors[name].shape}, expected {want}")
+    for name, t in tensors.items():
+        if not np.all(np.isfinite(t)):
+            raise ValueError(f"tensor {name} has non-finite values")
+
+
+def gen_toy_teacher(config: TransformerConfig, seed: int) -> HybridModel:
     """Deterministic toy teacher: PCG64(seed), normal weights at std 1/sqrt(fan_in)."""
     rng = np.random.default_rng(seed)
 
@@ -129,34 +161,31 @@ def gen_toy_teacher(config: TransformerConfig, seed: int) -> TeacherCheckpoint:
     c = config
     layers = []
     for _ in range(c.n_layers):
-        layers.append(TeacherLayer(
+        attn = GqaWeights(
             wq=w(c.n_q_heads * c.head_dim, c.d_model),
             wk=w(c.n_kv_heads * c.head_dim, c.d_model),
             wv=w(c.n_kv_heads * c.head_dim, c.d_model),
             wo=w(c.d_model, c.n_q_heads * c.head_dim),
+            q_norm=np.ones(c.head_dim) if c.qk_norm else None,
+            k_norm=np.ones(c.head_dim) if c.qk_norm else None)
+        layers.append(HybridLayer(
+            "gqa", attn,
             mlp_gate=w(c.mlp_hidden, c.d_model),
             mlp_up=w(c.mlp_hidden, c.d_model),
             mlp_down=w(c.d_model, c.mlp_hidden),
             norm_attn=np.ones(c.d_model),
             norm_mlp=np.ones(c.d_model),
-            q_norm=np.ones(c.head_dim) if c.qk_norm else None,
-            k_norm=np.ones(c.head_dim) if c.qk_norm else None,
         ))
-    ckpt = TeacherCheckpoint(
-        config=c,
-        layers=layers,
-        embedding=w(c.vocab, c.d_model),
-        final_norm=np.ones(c.d_model),
-        lm_head=w(c.vocab, c.d_model),
-    )
-    ckpt.validate()
-    return ckpt
+    model = HybridModel(c, layers, embedding=w(c.vocab, c.d_model),
+                        final_norm=np.ones(c.d_model), lm_head=w(c.vocab, c.d_model))
+    validate_teacher(model)
+    return model
 
 
-def save_teacher(ckpt: TeacherCheckpoint, path) -> None:
-    ckpt.validate()
-    meta = {"kind": "teacher", "config": ckpt.config.to_dict()}
-    write_container(path, ckpt.named_tensors(), meta)
+def save_teacher(model: HybridModel, path) -> None:
+    validate_teacher(model)
+    meta = {"kind": "teacher", "config": model.config.to_dict()}
+    write_container(path, model.named_tensors(), meta)
 
 
 def _teacher_shapes(meta: dict | None) -> dict | None:
@@ -166,18 +195,10 @@ def _teacher_shapes(meta: dict | None) -> dict | None:
     return teacher_shapes(TransformerConfig.from_dict(meta["config"]))
 
 
-def load_teacher(path) -> TeacherCheckpoint:
+def load_teacher(path) -> HybridModel:
     tensors, meta = read_container(path, expected=_teacher_shapes)
     if meta is None or meta.get("kind") != "teacher":
         raise ValueError(f"{path} is not a teacher checkpoint")
     c = TransformerConfig.from_dict(meta["config"])
-    layers = [TeacherLayer(**{f: tensors.get(f"layers.{i}.{name}")
-                              for f, name in _LAYER_TENSORS.items()})
-              for i in range(c.n_layers)]
-    return TeacherCheckpoint(
-        config=c,
-        layers=layers,
-        embedding=tensors["embedding"],
-        final_norm=tensors["final_norm"],
-        lm_head=tensors["lm_head"],
-    )
+    return stack_from_tensors(c, ["gqa"] * c.n_layers, tensors,
+                              lambda _kind: GqaWeights.shapes(c), {"gqa": GqaWeights})

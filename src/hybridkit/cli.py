@@ -95,14 +95,15 @@ def cmd_gen_teacher(args):
 
 
 def _open(load, path, flag: str):
-    """`load(path)` of a checkpoint; a missing file or one of the wrong kind
-    or shape is a CliError."""
+    """`load(path)` of a checkpoint; a missing file or one of the wrong kind,
+    shape or content is a CliError naming `flag` and the file."""
     try:
         return load(path)
     except FileNotFoundError:
         raise CliError(f"{flag} file not found: {path}")
     except ValueError as e:
-        raise CliError(str(e))
+        text = str(e) if str(path) in str(e) else f"{path}: {e}"
+        raise CliError(f"{flag} file {text}")
 
 
 def cmd_convert_mla(args):
@@ -139,7 +140,8 @@ def cmd_assemble(args):
     pure_mla = _open(load_hybrid, args.mla, "--mla")
     pure_gdn = _open(load_hybrid, args.gdn, "--gdn")
     layout = _config_file(HybridLayout, args.layout, "--layout")
-    model = assemble_hybrid(pure_mla, pure_gdn, layout, donor=args.donor)
+    model = _from_flags("--mla/--gdn/--layout", assemble_hybrid, pure_mla, pure_gdn,
+                        layout, donor=args.donor)
     save_hybrid(model, args.out)
     _emit(args, {"out": args.out, "layout": layout.to_dict()},
           [f"wrote hybrid model to {args.out}",

@@ -32,10 +32,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checkpoint import TeacherLayer, TransformerConfig
+from .checkpoint import TransformerConfig
 from .numerics import (CONV_WIDTH, causal_conv1d, causal_conv1d_backward,
                        f32_resolution, inverse_softplus, repeat_kv, rmsnorm,
                        rmsnorm_backward, sigmoid, silu, silu_grad, softplus)
+from .teacher import GqaWeights
 
 # Tokens per chunk of the chunk-parallel core. Results do not depend on it
 # beyond rounding. Timed at d 128 with 4 heads (training steps of 128 and 512
@@ -543,7 +544,7 @@ def gdn_backward(w: GdnBlockWeights, cfg: GdnConfig, tape: dict, dy):
 # Initialization from a teacher attention layer, and parameter accounting
 # ---------------------------------------------------------------------------
 
-def init_gdn_from_teacher(layer: TeacherLayer, teacher_cfg: TransformerConfig,
+def init_gdn_from_teacher(layer: GqaWeights, teacher_cfg: TransformerConfig,
                           cfg: GdnConfig, seed: int = 0) -> GdnBlockWeights:
     """Transfer overlapping projection submatrices from the teacher; keep
     mixer-specific parameters (gate, decay, beta, convs) at seeded random."""

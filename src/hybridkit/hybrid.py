@@ -1,10 +1,12 @@
-"""Hybrid model assembly, forward/decode, and memory accounting.
+"""Hybrid model assembly, the stack forward/decode/backward, and memory
+accounting.
 
 A hybrid stack keeps the teacher's embeddings, SwiGLU MLPs, and norms, and
-replaces each attention mixer with either a latent-attention block (at the
+replaces each gqa mixer with either a latent-attention block (at the
 layout's `mla_indices`) or a gated delta-rule block (everywhere else).
 Stage-wise conversion produces "pure" models (all one kind); assembly then
-picks per-layer blocks out of the two pure checkpoints.
+picks per-layer blocks out of the two pure checkpoints. `hybrid_forward` runs
+stacks of all three kinds, the teacher's too; gqa layers have no backward.
 
 KV-cache accounting: a teacher layer caches 2 * H_kv * d_h elements per
 token, a latent layer r_kv + d_rope, a linear layer nothing, so
@@ -20,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import teacher
 from .accounting import record_alloc
-from .checkpoint import (SHARED_LAYER_TENSORS, TeacherCheckpoint,
-                         TransformerConfig, teacher_shapes)
+from .checkpoint import (SHARED_LAYER_TENSORS, HybridLayer, HybridModel,
+                         TransformerConfig, mixer_prefix, stack_from_tensors,
+                         stack_shapes)
 from .container import read_container, write_container
 from .gdn import (GdnBlockWeights, GdnConfig, gdn_backward,
                   gdn_forward_chunked, gdn_forward_sequential,
@@ -30,7 +34,7 @@ from .gdn import (GdnBlockWeights, GdnConfig, gdn_backward,
 from .mla import (MlaBlockWeights, MlaConfig, init_mla_from_teacher,
                   mla_backward, mla_forward)
 from .mlp import swiglu_backward, swiglu_forward
-from .numerics import rmsnorm, rmsnorm_backward
+from .numerics import rmsnorm, rmsnorm_backward, rope_inv_freq, rope_tables
 from .teacher import Trace
 
 
@@ -63,49 +67,14 @@ class HybridLayout:
         return cls(n_layers=d["n_layers"], mla_indices=d["mla_indices"])
 
 
-@dataclass
-class HybridLayer:
-    """A mixer plus the SHARED_LAYER_TENSORS kept from the teacher layer."""
-    kind: str                 # "mla" | "gdn"
-    mixer: object             # MlaBlockWeights | GdnBlockWeights
-    mlp_gate: np.ndarray
-    mlp_up: np.ndarray
-    mlp_down: np.ndarray
-    norm_attn: np.ndarray
-    norm_mlp: np.ndarray
-
-
-@dataclass
-class HybridModel:
-    config: TransformerConfig
-    layout: HybridLayout
-    layers: list
-    embedding: np.ndarray
-    final_norm: np.ndarray
-    lm_head: np.ndarray
-    mla_cfg: MlaConfig | None = None
-    gdn_cfg: GdnConfig | None = None
-
-    def named_tensors(self) -> dict:
-        out = {}
-        for i, ly in enumerate(self.layers):
-            out.update(ly.mixer.named_tensors(f"{ly.kind}.{i}"))
-            for f, name in SHARED_LAYER_TENSORS.items():
-                out[f"layers.{i}.{name}"] = getattr(ly, f)
-        out["embedding"] = self.embedding
-        out["final_norm"] = self.final_norm
-        out["lm_head"] = self.lm_head
-        return out
-
-
 # ---------------------------------------------------------------------------
 # Conversion and assembly
 # ---------------------------------------------------------------------------
 
-def _convert(ckpt: TeacherCheckpoint, kind: str, cfg: MlaConfig | GdnConfig,
+def _convert(ckpt: HybridModel, kind: str, cfg: MlaConfig | GdnConfig,
              seed: int) -> HybridModel:
-    """Replace every attention layer with a `kind` block initialized from it
-    (layer i at seed + i); the shared tensors and the top are copied."""
+    """Replace every gqa layer of a teacher with a `kind` block initialized
+    from it (layer i at seed + i); the shared tensors and the top are copied."""
     # Neither mixer has a place for the teacher's per-head Q/K RMSNorm, so
     # converting would drop it silently.
     if ckpt.config.qk_norm:
@@ -114,22 +83,21 @@ def _convert(ckpt: TeacherCheckpoint, kind: str, cfg: MlaConfig | GdnConfig,
     # Read from the module globals on each call, so a wrapper set on
     # `hybrid.init_*_from_teacher` is the one that runs.
     init = init_mla_from_teacher if kind == "mla" else init_gdn_from_teacher
-    n = ckpt.config.n_layers
-    layers = [HybridLayer(kind, init(ly, ckpt.config, cfg, seed + i),
+    layers = [HybridLayer(kind, init(ly.mixer, ckpt.config, cfg, seed + i),
                           **{f: getattr(ly, f).copy() for f in SHARED_LAYER_TENSORS})
               for i, ly in enumerate(ckpt.layers)]
-    return HybridModel(ckpt.config, HybridLayout(n, range(n) if kind == "mla" else ()),
-                       layers, ckpt.embedding.copy(), ckpt.final_norm.copy(),
-                       ckpt.lm_head.copy(), **{f"{kind}_cfg": cfg})
+    return HybridModel(ckpt.config, layers, ckpt.embedding.copy(),
+                       ckpt.final_norm.copy(), ckpt.lm_head.copy(),
+                       **{f"{kind}_cfg": cfg})
 
 
-def convert_teacher_to_mla(ckpt: TeacherCheckpoint, cfg: MlaConfig,
+def convert_teacher_to_mla(ckpt: HybridModel, cfg: MlaConfig,
                            seed: int = 0) -> HybridModel:
     """Replace every attention layer with a latent-attention block."""
     return _convert(ckpt, "mla", cfg, seed)
 
 
-def convert_teacher_to_gdn(ckpt: TeacherCheckpoint, cfg: GdnConfig,
+def convert_teacher_to_gdn(ckpt: HybridModel, cfg: GdnConfig,
                            seed: int = 0) -> HybridModel:
     """Replace every attention layer with a gated delta-rule block."""
     return _convert(ckpt, "gdn", cfg, seed)
@@ -145,9 +113,14 @@ def assemble_hybrid(pure_mla: HybridModel, pure_gdn: HybridModel,
     if donor not in ("mla", "gdn"):
         raise ValueError("donor must be 'mla' or 'gdn'")
     src = {"mla": pure_mla, "gdn": pure_gdn}
+    for kind, model in src.items():
+        wrong = [f"{ly.kind} layer {i}" for i, ly in enumerate(model.layers)
+                 if ly.kind != kind]
+        if wrong:
+            raise ValueError(f"the pure {kind} model holds a {wrong[0]}")
     layers = [src[layout.kind(i)].layers[i] for i in range(layout.n_layers)]
     top = src[donor]
-    return HybridModel(pure_mla.config, layout, layers, top.embedding,
+    return HybridModel(pure_mla.config, layers, top.embedding,
                        top.final_norm, top.lm_head,
                        mla_cfg=pure_mla.mla_cfg, gdn_cfg=pure_gdn.gdn_cfg)
 
@@ -164,7 +137,7 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
     `tokens` is one id sequence, or a batch of equal-length sequences (B, T)
     for fresh training forwards (no caches/offset in that case). `tapes`,
     when given an empty list, is filled with per-layer gradient tapes; it
-    too takes a fresh sequence only.
+    too takes a fresh sequence only, and a stack of mla and gdn layers.
     """
     cfg = model.config
     tokens = np.asarray(tokens, dtype=np.int64)
@@ -187,7 +160,16 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
         tape = {} if taping else None
         h_in = h
         x = rmsnorm(h, ly.norm_attn, cfg.eps)
-        if ly.kind == "mla":
+        if ly.kind == "gqa":
+            if taping:
+                raise ValueError(f"layer {i} is a gqa layer, which has no backward for a tape")
+            if cache is not None and len(cache) != position_offset:
+                raise ValueError(f"layer {i} cache holds {len(cache)} tokens, "
+                                 f"expected {position_offset}")
+            positions = np.arange(position_offset, position_offset + tokens.shape[-1])
+            rope = rope_tables(rope_inv_freq(cfg.head_dim, cfg.rope_theta), positions)
+            a, new_cache = teacher.gqa_attention(ly.mixer, cfg, x, *rope, cache=cache)
+        elif ly.kind == "mla":
             a, new_cache = mla_forward(ly.mixer, model.mla_cfg, x, cache=cache,
                                        position_offset=position_offset, tape=tape)
         elif taping:
@@ -214,12 +196,21 @@ def hybrid_forward(model: HybridModel, tokens, want_logits: bool = True,
     final = rmsnorm(h, model.final_norm, cfg.eps)
     logits = None
     if want_logits:
-        record_alloc("hybrid_logits", n_tokens * cfg.vocab)
+        role = "teacher" if all(ly.kind == "gqa" for ly in model.layers) else "hybrid"
+        record_alloc(f"{role}_logits", n_tokens * cfg.vocab)
         logits = final @ model.lm_head.T
     if taping:
         tapes.append({"pre_final": h})
     return Trace(hidden_states, mixer_outputs, final, logits,
                  new_caches if single else None)
+
+
+def teacher_forward(model: HybridModel, tokens, want_logits: bool = True,
+                    want_trace: bool = False) -> Trace:
+    """The teacher side of a distillation step: `hybrid_forward` of a fresh
+    sequence or batch. Training calls it through this name, which the
+    benchmark's traced run wraps to time the teacher apart from the student."""
+    return hybrid_forward(model, tokens, want_logits=want_logits, want_trace=want_trace)
 
 
 def hybrid_backward(model: HybridModel, tapes: list, d_final: np.ndarray | None,
@@ -261,7 +252,7 @@ def hybrid_backward(model: HybridModel, tapes: list, d_final: np.ndarray | None,
         for f, name in SHARED_LAYER_TENSORS.items():
             grads[f"layers.{i}.{name}"] = shared[f]
         for k, v in mixer_grads.items():
-            grads[f"{ly.kind}.{i}.{k}"] = v
+            grads[f"{mixer_prefix(ly.kind, i)}.{k}"] = v
     return grads
 
 
@@ -287,9 +278,9 @@ class KvCacheReport:
 
 def kv_cache_report(layout: HybridLayout, teacher_cfg: TransformerConfig,
                     mla_cfg: MlaConfig) -> KvCacheReport:
-    teacher = teacher_cfg.n_layers * 2 * teacher_cfg.n_kv_heads * teacher_cfg.head_dim
+    full = teacher_cfg.n_layers * 2 * teacher_cfg.n_kv_heads * teacher_cfg.head_dim
     hybrid = len(layout.mla_indices) * mla_cfg.cache_per_token
-    return KvCacheReport(teacher, hybrid, hybrid / teacher)
+    return KvCacheReport(full, hybrid, hybrid / full)
 
 
 BYTES_PER_ELEMENT = 2  # accounting assumes 2-byte (bf16-class) storage
@@ -373,21 +364,29 @@ def memory_plan(tokens: int, vocab: int, techniques=()) -> MemoryPlan:
 # ---------------------------------------------------------------------------
 
 def save_hybrid(model: HybridModel, path) -> None:
+    kinds = [ly.kind for ly in model.layers]
+    if "gqa" in kinds:
+        raise ValueError("a hybrid checkpoint holds no gqa layer; save a teacher "
+                         "with save_teacher")
     meta = {
         "kind": "hybrid",
         "config": model.config.to_dict(),
-        "layout": model.layout.to_dict(),
+        "layout": HybridLayout(len(kinds), [i for i, k in enumerate(kinds)
+                                            if k == "mla"]).to_dict(),
         "mla_cfg": model.mla_cfg.to_dict() if model.mla_cfg else None,
         "gdn_cfg": model.gdn_cfg.to_dict() if model.gdn_cfg else None,
     }
     write_container(path, model.named_tensors(), meta)
 
 
-def _hybrid_configs(meta: dict):
-    return (TransformerConfig.from_dict(meta["config"]),
-            HybridLayout.from_dict(meta["layout"]),
-            MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None,
-            GdnConfig.from_dict(meta["gdn_cfg"]) if meta.get("gdn_cfg") else None)
+def _hybrid_schema(meta: dict):
+    """(config, layer kinds, kind -> mixer field shapes, mla_cfg, gdn_cfg)."""
+    cfg = TransformerConfig.from_dict(meta["config"])
+    layout = HybridLayout.from_dict(meta["layout"])
+    mla_cfg = MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None
+    gdn_cfg = GdnConfig.from_dict(meta["gdn_cfg"]) if meta.get("gdn_cfg") else None
+    return (cfg, [layout.kind(i) for i in range(cfg.n_layers)],
+            lambda kind: _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg), mla_cfg, gdn_cfg)
 
 
 def _mixer_shapes(kind: str, d: int, mla_cfg: MlaConfig | None,
@@ -402,34 +401,18 @@ def _mixer_shapes(kind: str, d: int, mla_cfg: MlaConfig | None,
 
 
 def _hybrid_shapes(meta: dict | None) -> dict | None:
-    """Name -> shape of every tensor the hybrid described by `meta` holds:
-    the teacher's tensors except attention, plus each layer's mixer."""
+    """Name -> shape of every tensor the hybrid described by `meta` holds."""
     if meta is None or meta.get("kind") != "hybrid":
         return None
-    cfg, layout, mla_cfg, gdn_cfg = _hybrid_configs(meta)
-    shapes = {name: shape for name, shape in teacher_shapes(cfg).items()
-              if ".attn." not in name}
-    for i in range(cfg.n_layers):
-        kind = layout.kind(i)
-        for f, shape in _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg).items():
-            shapes[f"{kind}.{i}.{f}"] = shape
-    return shapes
+    cfg, kinds, mixer_shapes, _, _ = _hybrid_schema(meta)
+    return stack_shapes(cfg, kinds, mixer_shapes)
 
 
 def load_hybrid(path) -> HybridModel:
     tensors, meta = read_container(path, expected=_hybrid_shapes)
     if meta is None or meta.get("kind") != "hybrid":
         raise ValueError(f"{path} is not a hybrid checkpoint")
-    cfg, layout, mla_cfg, gdn_cfg = _hybrid_configs(meta)
-
-    layers = []
-    for i in range(cfg.n_layers):
-        kind = layout.kind(i)
-        weights = MlaBlockWeights if kind == "mla" else GdnBlockWeights
-        mixer = weights(**{f: tensors[f"{kind}.{i}.{f}"]
-                           for f in _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg)})
-        layers.append(HybridLayer(kind, mixer, **{
-            f: tensors[f"layers.{i}.{name}"] for f, name in SHARED_LAYER_TENSORS.items()}))
-    return HybridModel(cfg, layout, layers, tensors["embedding"],
-                       tensors["final_norm"], tensors["lm_head"],
-                       mla_cfg=mla_cfg, gdn_cfg=gdn_cfg)
+    cfg, kinds, mixer_shapes, mla_cfg, gdn_cfg = _hybrid_schema(meta)
+    return stack_from_tensors(cfg, kinds, tensors, mixer_shapes,
+                              {"mla": MlaBlockWeights, "gdn": GdnBlockWeights},
+                              mla_cfg=mla_cfg, gdn_cfg=gdn_cfg)

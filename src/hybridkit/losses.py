@@ -61,13 +61,6 @@ def _check_same_shape(z_s, z_t):
 # Intermediate-layer alignment
 # ---------------------------------------------------------------------------
 
-def ild_loss(student_trace, teacher_trace) -> LossValueAndGrad:
-    """Sum over layers of Frobenius distances between hidden states and
-    between mixer outputs. Value only; per-layer gradients via ild_grads."""
-    return LossValueAndGrad(value=ild_grads(student_trace, teacher_trace)[0],
-                            grad=None)
-
-
 def _norm_and_grad(delta):
     """Frobenius norm over the trailing (T, d) axes, batch-mean over any
     leading axis; returns (value, d value / d delta)."""

@@ -33,11 +33,12 @@ from functools import lru_cache
 import numpy as np
 
 from .accounting import record_alloc
-from .checkpoint import TeacherLayer, TransformerConfig
+from .checkpoint import TransformerConfig
 from .numerics import (apply_rope, apply_rope_backward, causal_attention,
                        causal_attention_backward, f32_resolution, repeat_kv,
                        rmsnorm, rmsnorm_backward, rope_tables, sigmoid, softmax,
                        svd, yarn_inv_freq, yarn_mscale)
+from .teacher import GqaWeights
 
 
 @dataclass
@@ -344,7 +345,7 @@ def mla_backward(w: MlaBlockWeights, cfg: MlaConfig, tape: dict, dout: np.ndarra
     return (dx[0] if single else dx), grads
 
 
-def init_mla_from_teacher(layer: TeacherLayer, teacher_cfg: TransformerConfig,
+def init_mla_from_teacher(layer: GqaWeights, teacher_cfg: TransformerConfig,
                           cfg: MlaConfig, seed: int = 0) -> MlaBlockWeights:
     """Factorize a teacher attention layer into latent-attention weights."""
     d_h, d = teacher_cfg.head_dim, teacher_cfg.d_model

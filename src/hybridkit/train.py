@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .accounting import track_allocations
-from .checkpoint import TeacherCheckpoint
-from .hybrid import HybridModel, hybrid_backward, hybrid_forward
+from .hybrid import HybridModel, hybrid_backward, hybrid_forward, teacher_forward
 from .losses import (LossConfig, fused_linear_ce, ild_grads, kl_chunked,
                      kl_naive, kl_online, kl_hidden)
-from .teacher import teacher_forward
 
 FROZEN = ("embedding", "lm_head")
 
@@ -177,16 +175,6 @@ def trainable_params(model: HybridModel) -> dict:
     return params
 
 
-def _teacher_outputs(teacher, tokens, want_logits: bool, want_trace: bool = False):
-    if isinstance(teacher, TeacherCheckpoint):
-        return teacher_forward(teacher, tokens, want_logits=want_logits,
-                               want_trace=want_trace)
-    if isinstance(teacher, HybridModel):
-        return hybrid_forward(teacher, tokens, want_logits=want_logits,
-                              want_trace=want_trace)
-    raise TypeError(f"unsupported teacher type {type(teacher)!r}")
-
-
 def _clip(tokens: np.ndarray, context_len: int) -> np.ndarray:
     return tokens[:context_len] if tokens.size > context_len else tokens
 
@@ -239,7 +227,7 @@ def _train(student: HybridModel, data: list, cfg: TrainConfig, step) -> TrainRep
 
 def _ild_loss(student: HybridModel, teacher, tokens):
     """Stage-I alignment loss and grads for a stacked batch."""
-    t_trace = _teacher_outputs(teacher, tokens, want_logits=False, want_trace=True)
+    t_trace = teacher_forward(teacher, tokens, want_logits=False, want_trace=True)
     tapes: list = []
     s_trace = hybrid_forward(student, tokens, want_logits=False, want_trace=True,
                              tapes=tapes)
@@ -277,13 +265,13 @@ def _stage2_loss(student: HybridModel, teacher, tokens, masks, cfg: TrainConfig)
         value, d_final = out.value, np.zeros_like(final)
         d_final[:, :-1][masks] = out.grad
     elif hidden:
-        t_final = _teacher_outputs(teacher, tokens, want_logits=False).final_hidden
+        t_final = teacher_forward(teacher, tokens, want_logits=False).final_hidden
         out = kl_hidden(final.reshape(-1, final.shape[-1]), student.lm_head,
                         t_final.reshape(-1, t_final.shape[-1]), teacher.lm_head,
                         loss_cfg)
         value, d_final = out.value, out.grad.reshape(final.shape)
     else:
-        t_logits = _teacher_outputs(teacher, tokens, want_logits=True).logits
+        t_logits = teacher_forward(teacher, tokens).logits
         path = {"naive": kl_naive, "chunked": kl_chunked, "online": kl_online}[cfg.loss_path]
         V = student.config.vocab
         out = path(s_trace.logits.reshape(-1, V), t_logits.reshape(-1, V), loss_cfg)
@@ -310,7 +298,7 @@ def argmax_agreement(student: HybridModel, teacher, data: list,
     for ex in data:
         tokens = _clip(ex.tokens, context_len)
         s = hybrid_forward(student, tokens).logits
-        t = _teacher_outputs(teacher, tokens, want_logits=True).logits
+        t = teacher_forward(teacher, tokens).logits
         agree += int(np.sum(np.argmax(s, axis=-1) == np.argmax(t, axis=-1)))
         total += tokens.size
     return agree / total

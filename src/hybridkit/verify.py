@@ -27,12 +27,12 @@ class CheckResult:
 def _svd_reconstruction(teacher, seed: int) -> CheckResult:
     worst = 0.0
     rng = np.random.default_rng(seed)
-    for layer in teacher.layers:
-        kv = np.concatenate([repeat_kv(layer.wk, teacher.config.head_dim,
+    for attn in (ly.mixer for ly in teacher.layers):
+        kv = np.concatenate([repeat_kv(attn.wk, teacher.config.head_dim,
                                        teacher.config.group),
-                             repeat_kv(layer.wv, teacher.config.head_dim,
+                             repeat_kv(attn.wv, teacher.config.head_dim,
                                        teacher.config.group)], axis=0)
-        for mat in (layer.wq, kv):
+        for mat in (attn.wq, kv):
             r = min(mat.shape)
             f = svd(mat, r)
             rec = f.u @ (f.sigma[:, None] * f.v.T)

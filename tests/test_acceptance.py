@@ -27,7 +27,7 @@ from hybridkit.losses import (LossConfig, fused_linear_ce, kl_chunked,
 from hybridkit.mla import MlaConfig, default_mla_config, init_mla_from_teacher
 from hybridkit.numerics import ATTN_BLOCK, f32_resolution, repeat_kv
 from hybridkit.synthetic import gen_ngram_corpus
-from hybridkit.teacher import teacher_forward
+from hybridkit.hybrid import teacher_forward
 from hybridkit.train import (TrainConfig, argmax_agreement, grad_audit,
                              train_stage1_ild, train_stage2_sft)
 
@@ -95,7 +95,7 @@ def test_criterion_04_chunked_equals_sequential():
         T = (64, 70, 256, 512)[seed % 4]
         teacher = gen_toy_teacher(TOY, seed)
         cfg = GdnConfig(d=32, n_heads=2)
-        w = init_gdn_from_teacher(teacher.layers[seed % 4], TOY, cfg, seed=seed)
+        w = init_gdn_from_teacher(teacher.layers[seed % 4].mixer, TOY, cfg, seed=seed)
         x = np.random.default_rng(seed + 10_000).normal(size=(T, 32))
         y_seq, _ = gdn_forward_sequential(w, cfg, x)
         y_chk, _ = gdn_forward_chunked(w, cfg, x)
@@ -208,7 +208,7 @@ def test_criterion_07_svd_init_reconstruction():
     cfg = MlaConfig(r_q=32, r_kv=32, d_qk_nope=4, d_qk_rope=4, d_v=8, n_heads=4)
     for seed in range(20):
         teacher = gen_toy_teacher(TOY, seed)
-        layer = teacher.layers[seed % 4]
+        layer = teacher.layers[seed % 4].mixer
         w = init_mla_from_teacher(layer, TOY, cfg)
         stack = np.zeros((32, cfg.r_q))
         for h in range(4):
@@ -240,11 +240,11 @@ def test_criterion_08_gqa_fidelity():
     worst = 0.0
     for seed in range(10):
         teacher = gen_toy_teacher(TOY, seed)
-        layer = teacher.layers[0]
+        layer = teacher.layers[0].mixer
         r = np.random.default_rng(seed + 500)
         x = r.normal(size=(12, 32))
         cos, sin = rope_tables(rope_inv_freq(8, TOY.rope_theta), np.arange(12))
-        ours = gqa_attention(layer, TOY, x, cos, sin)
+        ours, _ = gqa_attention(layer, TOY, x, cos, sin)
         # oracle: expand KV heads, run plain multi-head attention
         wk = repeat_kv(layer.wk, 8, 2)
         wv = repeat_kv(layer.wv, 8, 2)

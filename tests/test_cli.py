@@ -24,6 +24,7 @@ def workdir(tmp_path_factory):
            "head_dim": 8, "vocab": 64, "mlp_hidden": 64}
     (d / "teacher.json").write_text(json.dumps(cfg))
     (d / "layout.json").write_text(json.dumps({"n_layers": 4, "mla_indices": [1, 3]}))
+    (d / "layout3.json").write_text(json.dumps({"n_layers": 3, "mla_indices": [1]}))
     mla = {"r_q": 16, "r_kv": 8, "d_qk_nope": 4, "d_qk_rope": 4, "d_v": 8, "n_heads": 4}
     (d / "mla.json").write_text(json.dumps(mla))
     # Valid as a config, but beyond the teacher's query rank at conversion.
@@ -205,6 +206,10 @@ BAD_FLAGS = [
      "--haystack-len"),
     (["eval-niah", "--model", "{d}/hybrid.ckpt", "--items", "0"], "--items"),
     (["mem-plan", "--tokens", "0", "--vocab", "4"], "--tokens"),
+    (["assemble", "--mla", "{d}/gdn.ckpt", "--gdn", "{d}/mla.ckpt",
+      "--layout", "{d}/layout.json", "--out", "{out}"], "--mla"),
+    (["assemble", "--mla", "{d}/mla.ckpt", "--gdn", "{d}/gdn.ckpt",
+      "--layout", "{d}/layout3.json", "--out", "{out}"], "--layout"),
     (["mem-plan", "--tokens", "4", "--vocab", "0"], "--vocab"),
 ]
 
@@ -336,6 +341,7 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "layers.2.mlp.up" in err and "non-finite" in err
+        assert err.count("--teacher") == 1 and err.count("nan.ckpt") == 1
 
     def test_wrong_shape_hybrid_tensor_exits_one(self, workdir, tmp_path, capsys):
         tensors, meta = read_container(workdir / "hybrid.ckpt")
@@ -346,3 +352,10 @@ class TestErrors:
         assert rc == 1
         err = capsys.readouterr().err
         assert "mla.1.w_kb" in err and "h.ckpt" in err and "(16, 7)" in err
+        # A truncated file names the flag and the file, each once.
+        (tmp_path / "cut.ckpt").write_bytes((workdir / "hybrid.ckpt").read_bytes()[:100])
+        rc = main(["train", "--stage", "2", "--student", str(tmp_path / "cut.ckpt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "truncated" in err
+        assert err.count("--student") == 1 and err.count("cut.ckpt") == 1

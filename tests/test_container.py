@@ -1,11 +1,13 @@
+import hashlib
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hybridkit.checkpoint import (TransformerConfig, gen_toy_teacher,
-                                  load_teacher, save_teacher)
+                                  load_teacher, save_teacher, validate_teacher)
 from hybridkit.container import ContainerError, read_container, write_container
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid, convert_teacher_to_gdn,
                               convert_teacher_to_mla, load_hybrid, save_hybrid)
@@ -176,9 +178,9 @@ class TestTeacherCheckpoint:
         cfg = TransformerConfig(d_model=32, n_layers=4, n_q_heads=4, n_kv_heads=2,
                                 head_dim=8, vocab=64, mlp_hidden=64)
         ckpt = gen_toy_teacher(cfg, 0)
-        ckpt.validate()
-        assert ckpt.layers[0].wq.shape == (32, 32)
-        assert ckpt.layers[0].wk.shape == (16, 32)
+        validate_teacher(ckpt)
+        assert ckpt.layers[0].mixer.wq.shape == (32, 32)
+        assert ckpt.layers[0].mixer.wk.shape == (16, 32)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -192,3 +194,23 @@ class TestTeacherCheckpoint:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(toy_config.to_dict()))
         assert TransformerConfig.from_dict(json.loads(path.read_text())) == toy_config
+
+    def test_file_bytes_pinned_by_digest(self, tmp_path, toy_config, toy_gdn_config):
+        # Whole files, weights included: a refactor of the schema or of
+        # generation and conversion must leave every byte as it was. Latent
+        # attention is left out, as its SVD may differ between BLAS builds.
+        teacher = gen_toy_teacher(toy_config, 0)
+        models = {"teacher": teacher,
+                  "teacher_qk_norm": gen_toy_teacher(replace(toy_config, qk_norm=True), 0),
+                  "gdn": convert_teacher_to_gdn(teacher, toy_gdn_config, seed=20)}
+        digests = {}
+        for name, model in models.items():
+            path = tmp_path / f"{name}.ckpt"
+            (save_hybrid if name == "gdn" else save_teacher)(model, path)
+            digests[name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == {
+            "teacher": "acfcdf6d16ec08549a17c1dc7144bdad8d62d3c4addfa9ebd5414f3737b6ad0d",
+            "teacher_qk_norm":
+                "c2d8baaa0c1e3480150c449a39c8cfcfe7dd804652e2c96be4de16e689373ce1",
+            "gdn": "68e552a19e9214391d48d505b125fa8eb7d6c122da96ae42b0af1a4e8b9bed5a",
+        }

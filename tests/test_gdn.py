@@ -19,7 +19,7 @@ from conftest import distinct_elements
 
 @pytest.fixture
 def weights(toy_teacher, toy_gdn_config):
-    return init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config,
+    return init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config,
                                  toy_gdn_config, seed=1)
 
 
@@ -144,7 +144,7 @@ class TestLayerForward:
         # sequences. Each taped chunk holds its inverse, its corrections and
         # the state it started from, and nothing the inputs give back.
         cfg = GdnConfig(d=32, n_heads=2)
-        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg,
+        w = init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg,
                                   seed=4)
         B, T = 3, 2 * CHUNK + 5
         x = rng.normal(size=(B, T, 32))
@@ -173,7 +173,7 @@ class TestLayerForward:
                                head_dim=4, vocab=16, mlp_hidden=8)
         teacher = gen_toy_teacher(tc, 4)
         cfg = GdnConfig(d=4, n_heads=1)
-        w = init_gdn_from_teacher(teacher.layers[0], tc, cfg, seed=9)
+        w = init_gdn_from_teacher(teacher.layers[0].mixer, tc, cfg, seed=9)
         x = np.random.default_rng(1).normal(size=(1, 4))
         y, state = gdn_forward_sequential(w, cfg, x)
 
@@ -255,7 +255,7 @@ class TestProperties:
                                                     H, seed):
         split = data.draw(st.integers(1, T - 1), label="split")
         cfg = GdnConfig(d=32, n_heads=H)
-        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg,
+        w = init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg,
                                   seed=seed % 1000)
         x = np.random.default_rng(seed).normal(size=(T, 32))
         full, end = gdn_forward_sequential(w, cfg, x)
@@ -279,7 +279,7 @@ class TestProperties:
         P = data.draw(st.one_of(st.sampled_from([0, 1, 2]),
                                 st.integers(CHUNK - 2, 2 * CHUNK + 2)), label="P")
         cfg = GdnConfig(d=32, n_heads=H)
-        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg,
+        w = init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg,
                                   seed=seed % 1000)
         x = np.random.default_rng(seed).normal(size=(P + n_steps, 32))
         full, end = gdn_forward_chunked(w, cfg, x)
@@ -302,33 +302,33 @@ class TestInit:
                                head_dim=8, vocab=64, mlp_hidden=64)
         teacher = gen_toy_teacher(tc, 0)
         cfg = GdnConfig(d=32, n_heads=2)
-        w = init_gdn_from_teacher(teacher.layers[0], tc, cfg, seed=0)
-        assert np.array_equal(w.w_q[:24], teacher.layers[0].wq[:24])
-        assert np.array_equal(w.w_k[:24], teacher.layers[0].wk[:24])
+        w = init_gdn_from_teacher(teacher.layers[0].mixer, tc, cfg, seed=0)
+        assert np.array_equal(w.w_q[:24], teacher.layers[0].mixer.wq[:24])
+        assert np.array_equal(w.w_k[:24], teacher.layers[0].mixer.wk[:24])
 
     def test_llama_1b_shapes_with_group_expansion(self):
         tc = TransformerConfig(d_model=2048, n_layers=1, n_q_heads=32, n_kv_heads=8,
                                head_dim=64, vocab=1000, mlp_hidden=128)
         teacher = gen_toy_teacher(tc, 0)
         cfg = GdnConfig(d=2048, n_heads=6)
-        w = init_gdn_from_teacher(teacher.layers[0], tc, cfg, seed=0)
+        w = init_gdn_from_teacher(teacher.layers[0].mixer, tc, cfg, seed=0)
         assert w.w_q.shape == (1536, 2048)
         assert w.w_v.shape == (3072, 2048)
-        expanded = repeat_kv(teacher.layers[0].wk, 64, 4)
+        expanded = repeat_kv(teacher.layers[0].mixer.wk, 64, 4)
         assert np.array_equal(w.w_k, expanded[:1536].astype(np.float32).astype(np.float64))
 
     def test_value_rows_beyond_d_stay_random(self, toy_teacher, toy_gdn_config):
         tc = toy_teacher.config
-        w = init_gdn_from_teacher(toy_teacher.layers[0], tc, toy_gdn_config, seed=1)
-        expanded = repeat_kv(toy_teacher.layers[0].wv, tc.head_dim, tc.group)
+        w = init_gdn_from_teacher(toy_teacher.layers[0].mixer, tc, toy_gdn_config, seed=1)
+        expanded = repeat_kv(toy_teacher.layers[0].mixer.wv, tc.head_dim, tc.group)
         n_copy = min(tc.d_model, toy_gdn_config.d_v, expanded.shape[0])
         assert np.array_equal(w.w_v[:n_copy], expanded[:n_copy])
         assert not np.allclose(w.w_v[n_copy:], 0.0)
 
     def test_seeded_and_deterministic(self, toy_teacher, toy_gdn_config):
-        a = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config,
+        a = init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config,
                                   toy_gdn_config, seed=5)
-        b = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config,
+        b = init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config,
                                   toy_gdn_config, seed=5)
         assert np.array_equal(a.w_g, b.w_g) and np.array_equal(a.a_log, b.a_log)
 
@@ -345,7 +345,7 @@ class TestInit:
                                head_dim=8, vocab=64, mlp_hidden=64)
         teacher = gen_toy_teacher(tc, 0)
         with pytest.raises(ValueError, match="fewer rows"):
-            init_gdn_from_teacher(teacher.layers[0], tc, GdnConfig(d=32, n_heads=2),
+            init_gdn_from_teacher(teacher.layers[0].mixer, tc, GdnConfig(d=32, n_heads=2),
                                   seed=0)
 
 
@@ -355,7 +355,7 @@ class TestParamCount:
         assert gdn_param_count(GdnConfig(d=2048, n_heads=6)) == 25_215_500
 
     def test_toy_matches_enumerated_tensors(self, toy_teacher, toy_gdn_config):
-        w = init_gdn_from_teacher(toy_teacher.layers[0], toy_teacher.config,
+        w = init_gdn_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config,
                                   toy_gdn_config, seed=0)
         total = sum(t.size for t in w.named_tensors("x").values())
         assert gdn_param_count(toy_gdn_config) == total

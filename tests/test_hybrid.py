@@ -95,6 +95,13 @@ class TestAssembly:
         with pytest.raises(ValueError, match="qk_norm"):
             convert_teacher_to_gdn(teacher, toy_gdn_config)
 
+    def test_pure_models_of_the_wrong_kind_rejected(self, pure_models, toy_teacher):
+        pure_mla, pure_gdn = pure_models
+        with pytest.raises(ValueError, match="pure mla model holds a gdn layer 0"):
+            assemble_hybrid(pure_gdn, pure_mla, HybridLayout(4, (1, 3)))
+        with pytest.raises(ValueError, match="pure gdn model holds a gqa layer 0"):
+            assemble_hybrid(pure_mla, toy_teacher, HybridLayout(4, (1, 3)))
+
     def test_layout_with_other_linear_kind_rejected(self):
         with pytest.raises(ValueError, match="linear_kind"):
             HybridLayout.from_dict({"n_layers": 4, "mla_indices": [1],
@@ -201,6 +208,33 @@ class TestForward:
                 caches = step.caches
                 assert np.max(np.abs(step.logits - full[t:t + 1])) < 1e-5
             assert np.max(np.abs(pre.logits - full[:split])) < 1e-5
+
+    @pytest.mark.parametrize("qk_norm", [False, True])
+    def test_teacher_decode_matches_prefill(self, toy_config, toy_mla_config,
+                                            qk_norm, rng):
+        teacher = gen_toy_teacher(replace(toy_config, qk_norm=qk_norm), 0)
+        toks = rng.integers(0, 64, size=40)
+        full = hybrid_forward(teacher, toks).logits
+        # A prefill, a cached 8-token piece, then one token at a time.
+        pre = hybrid_forward(teacher, toks[:16])
+        piece = hybrid_forward(teacher, toks[16:24], caches=pre.caches,
+                               position_offset=16)
+        caches, outs = piece.caches, [pre.logits, piece.logits]
+        for t in range(24, 40):
+            step = hybrid_forward(teacher, toks[t:t + 1], caches=caches,
+                                  position_offset=t)
+            caches = step.caches
+            outs.append(step.logits)
+        assert np.max(np.abs(np.concatenate(outs) - full)) < 1e-10
+        # Rotated keys and values: the teacher figure of kv-report.
+        per_token = sum((c.k.size + c.v.size) / len(c) for c in caches)
+        report = kv_cache_report(HybridLayout(4, (1, 3)), teacher.config, toy_mla_config)
+        assert all(len(c) == 40 for c in caches)
+        assert per_token == report.teacher_per_token
+
+    def test_teacher_takes_no_tape(self, toy_teacher, rng):
+        with pytest.raises(ValueError, match="layer 0 is a gqa layer.*no backward"):
+            hybrid_forward(toy_teacher, rng.integers(0, 64, size=8), tapes=[])
 
     def test_mla_cache_budget_exact(self, hybrid, rng):
         toks = rng.integers(0, 64, size=10)
@@ -311,7 +345,7 @@ class TestSerialization:
             assert list(loaded.named_tensors()) == list(model.named_tensors())
             for name, t in model.named_tensors().items():
                 assert np.array_equal(loaded.named_tensors()[name], t), name
-            assert loaded.layout.to_dict() == model.layout.to_dict()
+            assert [ly.kind for ly in loaded.layers] == [ly.kind for ly in model.layers]
             assert loaded.mla_cfg.to_dict() == model.mla_cfg.to_dict()
 
     def test_container_headers_pinned(self, toy_teacher, gated_mla, pure_models,

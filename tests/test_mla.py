@@ -15,7 +15,7 @@ from conftest import distinct_elements
 
 @pytest.fixture
 def weights(toy_teacher, toy_mla_config):
-    return init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config,
+    return init_mla_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config,
                                  toy_mla_config)
 
 
@@ -41,7 +41,7 @@ class TestForward:
         tc = TransformerConfig(d_model=32, n_layers=1, n_q_heads=1, n_kv_heads=1,
                                head_dim=8, vocab=64, mlp_hidden=64)
         teacher = gen_toy_teacher(tc, 2)
-        w = init_mla_from_teacher(teacher.layers[0], tc, cfg)
+        w = init_mla_from_teacher(teacher.layers[0].mixer, tc, cfg)
         x = np.random.default_rng(0).normal(size=(1, 32))
         y, _ = mla_forward(w, cfg, x)
         latent = rmsnorm(x @ w.w_kva.T, w.norm_kv, cfg.eps)
@@ -68,7 +68,7 @@ class TestForward:
         # The cached one-token step attends in latent space; prefill expands
         # per-head keys and values. Both compute the same attention.
         cfg = replace(toy_mla_config, **flags)
-        w = init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg)
+        w = init_mla_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg)
         x = rng.normal(size=(12, 32))
         full, _ = mla_forward(w, cfg, x)
         _, cache = mla_forward(w, cfg, x[:1])
@@ -106,7 +106,7 @@ class TestForward:
     def test_nope_mode_shift_equivariant(self, toy_teacher, toy_mla_config, rng):
         cfg = copy.deepcopy(toy_mla_config)
         cfg.nope_mode = True
-        w = init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg)
+        w = init_mla_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg)
         x = rng.normal(size=(6, 32))
         base, _ = mla_forward(w, cfg, x, position_offset=0)
         shifted, _ = mla_forward(w, cfg, x, position_offset=37)
@@ -115,7 +115,7 @@ class TestForward:
     def test_gate_zero_halves_output(self, toy_teacher, toy_mla_config, rng):
         cfg = copy.deepcopy(toy_mla_config)
         cfg.gate_mode = True
-        w = init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg)
+        w = init_mla_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg)
         w.w_gate[:] = 0.0
         x = rng.normal(size=(4, 32))
         gated, _ = mla_forward(w, cfg, x)
@@ -186,7 +186,7 @@ class TestTape:
 class TestInit:
     def test_rank1_exact(self, toy_teacher):
         tc = toy_teacher.config
-        layer = copy.deepcopy(toy_teacher.layers[0])
+        layer = copy.deepcopy(toy_teacher.layers[0].mixer)
         rng = np.random.default_rng(5)
         u = rng.normal(size=(tc.n_q_heads * tc.head_dim, 1))
         v = rng.normal(size=(1, tc.d_model))
@@ -203,13 +203,13 @@ class TestInit:
         cfg = MlaConfig(r_q=min(tc.n_q_heads * tc.head_dim, tc.d_model),
                         r_kv=min(2 * tc.n_q_heads * tc.head_dim, tc.d_model),
                         d_qk_nope=4, d_qk_rope=4, d_v=8, n_heads=4)
-        w = init_mla_from_teacher(teacher.layers[0], tc, cfg)
+        w = init_mla_from_teacher(teacher.layers[0].mixer, tc, cfg)
         stack = interleave_query_factors(w, cfg, tc.head_dim)
-        err_q = (np.linalg.norm(stack @ w.w_qa - teacher.layers[0].wq)
-                 / np.linalg.norm(teacher.layers[0].wq))
+        err_q = (np.linalg.norm(stack @ w.w_qa - teacher.layers[0].mixer.wq)
+                 / np.linalg.norm(teacher.layers[0].mixer.wq))
         assert err_q < 1e-5
-        kv = np.concatenate([repeat_kv(teacher.layers[0].wk, tc.head_dim, tc.group),
-                             repeat_kv(teacher.layers[0].wv, tc.head_dim, tc.group)])
+        kv = np.concatenate([repeat_kv(teacher.layers[0].mixer.wk, tc.head_dim, tc.group),
+                             repeat_kv(teacher.layers[0].mixer.wv, tc.head_dim, tc.group)])
         rows = tc.n_q_heads * tc.head_dim
         kv_stack = np.zeros((2 * rows, cfg.r_kv))
         for h in range(tc.n_q_heads):
@@ -233,11 +233,11 @@ class TestInit:
     def test_rank_too_large_rejected(self, toy_teacher):
         cfg = MlaConfig(r_q=999, r_kv=8, d_qk_nope=4, d_qk_rope=4, d_v=8, n_heads=4)
         with pytest.raises(ValueError, match="r_q"):
-            init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg)
+            init_mla_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg)
 
     def test_kr_is_head_averaged_tail_rows(self, toy_teacher, toy_mla_config, weights):
         tc = toy_teacher.config
-        wk_full = repeat_kv(toy_teacher.layers[0].wk, tc.head_dim, tc.group)
+        wk_full = repeat_kv(toy_teacher.layers[0].mixer.wk, tc.head_dim, tc.group)
         avg = wk_full.reshape(tc.n_q_heads, tc.head_dim, tc.d_model).mean(axis=0)
         expected = avg[tc.head_dim - toy_mla_config.d_qk_rope:]
         assert np.allclose(weights.w_kr, expected.astype(np.float32), atol=1e-7)
@@ -256,7 +256,7 @@ class TestYarn:
     def test_scaled_model_runs_past_original_context(self, toy_teacher, rng):
         cfg = MlaConfig(r_q=16, r_kv=8, d_qk_nope=4, d_qk_rope=4, d_v=8, n_heads=4,
                         orig_context=16)
-        w = init_mla_from_teacher(toy_teacher.layers[0], toy_teacher.config, cfg)
+        w = init_mla_from_teacher(toy_teacher.layers[0].mixer, toy_teacher.config, cfg)
         x = rng.normal(size=(32, 32))
         with pytest.raises(ValueError):
             mla_forward(w, cfg, x)

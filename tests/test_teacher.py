@@ -4,18 +4,19 @@ import pytest
 from hybridkit.accounting import track_allocations
 from hybridkit.checkpoint import TransformerConfig, gen_toy_teacher
 from hybridkit.numerics import repeat_kv, rmsnorm, softmax
-from hybridkit.teacher import gqa_attention, teacher_forward
+from hybridkit.hybrid import teacher_forward
+from hybridkit.teacher import gqa_attention
 
 
-def mha_attention_oracle(layer, cfg, x, cos, sin):
+def mha_attention_oracle(attn, cfg, x, cos, sin):
     """GQA oracle: expand KV weights to full heads, run plain multi-head attention."""
     from hybridkit.numerics import apply_rope
 
     T = x.shape[0]
     d_h, H = cfg.head_dim, cfg.n_q_heads
-    wk = repeat_kv(layer.wk, d_h, cfg.group)
-    wv = repeat_kv(layer.wv, d_h, cfg.group)
-    q = (x @ layer.wq.T).reshape(T, H, d_h)
+    wk = repeat_kv(attn.wk, d_h, cfg.group)
+    wv = repeat_kv(attn.wv, d_h, cfg.group)
+    q = (x @ attn.wq.T).reshape(T, H, d_h)
     k = (x @ wk.T).reshape(T, H, d_h)
     v = (x @ wv.T).reshape(T, H, d_h)
     q = apply_rope(q, cos[:, None, :], sin[:, None, :])
@@ -24,7 +25,7 @@ def mha_attention_oracle(layer, cfg, x, cos, sin):
     ctx = np.empty((T, H, d_h))
     for h in range(H):
         ctx[:, h] = softmax(q[:, h] @ k[:, h].T / np.sqrt(d_h) + mask) @ v[:, h]
-    return ctx.reshape(T, H * d_h) @ layer.wo.T
+    return ctx.reshape(T, H * d_h) @ attn.wo.T
 
 
 class TestTeacherForward:
@@ -33,9 +34,9 @@ class TestTeacherForward:
         layer = toy_teacher.layers[0]
         cfg = toy_teacher.config
         x = rmsnorm(toy_teacher.embedding[[5]], layer.norm_attn, cfg.eps)
-        v = (x @ layer.wv.T).reshape(1, cfg.n_kv_heads, cfg.head_dim)
+        v = (x @ layer.mixer.wv.T).reshape(1, cfg.n_kv_heads, cfg.head_dim)
         v_full = np.repeat(v, cfg.group, axis=1).reshape(1, -1)
-        assert np.allclose(out.mixer_outputs[0], v_full @ layer.wo.T, atol=1e-12)
+        assert np.allclose(out.mixer_outputs[0], v_full @ layer.mixer.wo.T, atol=1e-12)
 
     def test_causality_exact(self, toy_teacher, rng):
         toks = rng.integers(0, 64, size=12)
@@ -54,8 +55,8 @@ class TestTeacherForward:
         x = rng.normal(size=(7, toy_config.d_model))
         cos, sin = rope_tables(rope_inv_freq(toy_config.head_dim,
                                              toy_config.rope_theta), np.arange(7))
-        ours = gqa_attention(teacher.layers[0], toy_config, x, cos, sin)
-        oracle = mha_attention_oracle(teacher.layers[0], toy_config, x, cos, sin)
+        ours, _ = gqa_attention(teacher.layers[0].mixer, toy_config, x, cos, sin)
+        oracle = mha_attention_oracle(teacher.layers[0].mixer, toy_config, x, cos, sin)
         assert np.max(np.abs(ours - oracle)) < 1e-6
 
     def test_attention_rows_sum_to_one(self, toy_teacher, rng):
@@ -64,7 +65,7 @@ class TestTeacherForward:
         from hybridkit.numerics import apply_rope, rope_inv_freq, rope_tables
 
         cfg = toy_teacher.config
-        layer = toy_teacher.layers[0]
+        layer = toy_teacher.layers[0].mixer
         x = rng.normal(size=(9, cfg.d_model))
         cos, sin = rope_tables(rope_inv_freq(cfg.head_dim, cfg.rope_theta), np.arange(9))
         q = apply_rope((x @ layer.wq.T).reshape(9, 4, 8), cos[:, None, :], sin[:, None, :])

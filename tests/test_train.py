@@ -8,11 +8,10 @@ from hybridkit.accounting import track_allocations
 from hybridkit.gdn import CHUNK
 from hybridkit.hybrid import (HybridLayout, assemble_hybrid,
                               convert_teacher_to_gdn, convert_teacher_to_mla,
-                              hybrid_backward, hybrid_forward)
+                              hybrid_backward, hybrid_forward, teacher_forward)
 from hybridkit.losses import kl_naive
 from hybridkit.numerics import ATTN_BLOCK
 from hybridkit.synthetic import gen_ngram_corpus, niah_generate
-from hybridkit.teacher import teacher_forward
 from hybridkit.train import (MAX_CONSECUTIVE_SKIPS, Adam, TrainConfig, grad_audit,
                              train_stage1_ild, train_stage2_sft)
 
@@ -76,7 +75,7 @@ class TestStage1:
         # stays at (numerically) zero
         teacher = copy.deepcopy(toy_teacher)
         for ly in teacher.layers:
-            ly.wo[:] = 0.0
+            ly.mixer.wo[:] = 0.0
         student = convert_teacher_to_gdn(teacher, toy_gdn_config, seed=20)
         for ly in student.layers:
             ly.mixer.w_o[:] = 0.0
