@@ -1,10 +1,13 @@
-"""The one model schema: a residual stack of mixer layers, the teacher config,
-toy teacher generation, and teacher serialization.
+"""The one model schema: a residual stack of mixer layers, its container
+metadata, shape map and checks, toy teacher generation, and teacher save/load.
 
 Every layer pairs a mixer with a SwiGLU MLP and two RMSNorms. The mixer's
-kind is "gqa" (teacher attention, `teacher.GqaWeights`), "mla" (latent
-attention) or "gdn" (gated delta rule). A teacher is a model whose layers
-are all "gqa"; conversion and assembly make the other two kinds.
+kind is "gqa" (teacher attention), "mla" (latent attention) or "gdn" (gated
+delta rule); `MIXERS` maps each to its weights class. A teacher is a model
+whose layers are all "gqa"; conversion and assembly make the other two kinds.
+Teacher and hybrid containers are checked, written and read by the same pure
+functions here; `save_teacher`/`load_teacher` and `hybrid.save_hybrid`/
+`load_hybrid` wrap their own module's `write_container`/`read_container`.
 
 Tensor naming: a gqa mixer under `layers.{i}.attn.` (`wq, wk, wv, wo`, and
 `q_norm, k_norm` with qk_norm), any other mixer under `{kind}.{i}.`;
@@ -16,42 +19,45 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import ContainerError, read_container, write_container
+from .gdn import GdnBlockWeights, GdnConfig
+from .mla import MlaBlockWeights, MlaConfig
 from .numerics import f32_resolution
-from .teacher import GqaWeights
+from .teacher import GqaWeights, TransformerConfig
+
+MIXERS = {"gqa": GqaWeights, "mla": MlaBlockWeights, "gdn": GdnBlockWeights}
 
 
 @dataclass
-class TransformerConfig:
-    d_model: int
+class HybridLayout:
+    """Which layers are latent attention; every other layer is gated delta."""
     n_layers: int
-    n_q_heads: int
-    n_kv_heads: int
-    head_dim: int
-    vocab: int
-    mlp_hidden: int
-    rope_theta: float = 10000.0
-    eps: float = 1e-5
-    qk_norm: bool = False
+    mla_indices: tuple
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name != "qk_norm" and (not isinstance(v, (int, float)) or v <= 0):
-                raise ValueError(f"config field {f.name} must be positive, got {v}")
-        if self.n_q_heads % self.n_kv_heads != 0:
-            raise ValueError("n_q_heads must be divisible by n_kv_heads")
+        self.mla_indices = tuple(sorted(int(i) for i in self.mla_indices))
+        if self.n_layers < 1:
+            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        if len(set(self.mla_indices)) != len(self.mla_indices):
+            raise ValueError("duplicate layer index in mla_indices")
+        if self.mla_indices and (self.mla_indices[0] < 0
+                                 or self.mla_indices[-1] >= self.n_layers):
+            raise ValueError(f"mla_indices out of range [0, {self.n_layers})")
 
-    @property
-    def group(self) -> int:
-        return self.n_q_heads // self.n_kv_heads
+    def kind(self, i: int) -> str:
+        return "mla" if i in self.mla_indices else "gdn"
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"n_layers": self.n_layers, "mla_indices": list(self.mla_indices),
+                "linear_kind": "gdn"}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TransformerConfig":
-        return cls(**d)
+    def from_dict(cls, d: dict) -> "HybridLayout":
+        d = dict(d)
+        kind = d.pop("linear_kind", "gdn")
+        if kind != "gdn":
+            raise ValueError(f"unsupported linear_kind {kind!r}; only 'gdn' exists")
+        return cls(d.pop("n_layers"), d.pop("mla_indices"), **d)
 
 
 # Layer field -> tensor name under `layers.{i}.`, in container order after
@@ -84,8 +90,8 @@ class HybridModel:
     embedding: np.ndarray     # (V, d)
     final_norm: np.ndarray    # (d,)
     lm_head: np.ndarray       # (V, d)
-    mla_cfg: object = None    # MlaConfig, when a layer is "mla"
-    gdn_cfg: object = None    # GdnConfig, when a layer is "gdn"
+    mla_cfg: MlaConfig | None = None  # when a layer is "mla"
+    gdn_cfg: GdnConfig | None = None  # when a layer is "gdn"
 
     def named_tensors(self) -> dict:
         out = {}
@@ -99,106 +105,136 @@ class HybridModel:
         return out
 
 
-def stack_shapes(c: TransformerConfig, kinds: list, mixer_shapes) -> dict:
-    """Tensor name -> shape for every tensor of a stack with config `c` whose
-    layer i has kind kinds[i]; `mixer_shapes(kind)` maps a mixer's fields to
-    their shapes."""
+def model_shapes(c: TransformerConfig, kinds: list, mla_cfg: MlaConfig | None = None,
+                 gdn_cfg: GdnConfig | None = None) -> dict:
+    """Tensor name -> shape, in container order, of every tensor of a stack
+    with config `c` whose layer i has kind kinds[i]."""
     d, h = c.d_model, c.mlp_hidden
+    mixers = {"gqa": GqaWeights.shapes(c)}
+    if mla_cfg is not None:
+        mixers["mla"] = MlaBlockWeights.shapes(mla_cfg, d)
+    if gdn_cfg is not None:
+        mixers["gdn"] = GdnBlockWeights.shapes(gdn_cfg)
     shared = dict(zip(SHARED_LAYER_TENSORS.values(), ((h, d), (h, d), (d, h), (d,), (d,))))
     shapes = {}
     for i, kind in enumerate(kinds):
+        if kind not in mixers:
+            raise ValueError(f"layer {i} has kind {kind!r}, but no {kind}_cfg is given")
         shapes.update({f"{mixer_prefix(kind, i)}.{f}": shape
-                       for f, shape in mixer_shapes(kind).items()})
+                       for f, shape in mixers[kind].items()})
         shapes.update({f"layers.{i}.{name}": shape for name, shape in shared.items()})
     shapes.update(embedding=(c.vocab, d), final_norm=(d,), lm_head=(c.vocab, d))
     return shapes
 
 
-def stack_from_tensors(c: TransformerConfig, kinds: list, tensors: dict, mixer_shapes,
-                       mixer_types: dict, **mixer_cfgs) -> HybridModel:
-    """The model whose tensors `stack_shapes(c, kinds, mixer_shapes)` names;
-    `mixer_types` maps each kind to its weights class."""
-    layers = []
-    for i, kind in enumerate(kinds):
-        prefix = mixer_prefix(kind, i)
-        mixer = mixer_types[kind](**{f: tensors[f"{prefix}.{f}"] for f in mixer_shapes(kind)})
-        layers.append(HybridLayer(kind, mixer, **{
-            f: tensors[f"layers.{i}.{name}"] for f, name in SHARED_LAYER_TENSORS.items()}))
-    return HybridModel(c, layers, tensors["embedding"], tensors["final_norm"],
-                       tensors["lm_head"], **mixer_cfgs)
-
-
-def teacher_shapes(c: TransformerConfig) -> dict:
-    """Tensor name -> shape for every tensor a teacher with config `c` holds."""
-    return stack_shapes(c, ["gqa"] * c.n_layers, lambda _kind: GqaWeights.shapes(c))
-
-
-def validate_teacher(model: HybridModel) -> None:
-    """Raise ValueError unless `model` is a stack of gqa layers holding every
-    tensor its config names, at its shape, with finite values."""
-    c = model.config
-    kinds = [ly.kind for ly in model.layers]
-    if kinds != ["gqa"] * c.n_layers:
-        raise ValueError(f"expected {c.n_layers} gqa layers, got {kinds}")
+def validate_model(model: HybridModel) -> None:
+    """Raise ValueError unless `model` holds exactly the tensors that its
+    config, layer kinds and mixer configs name, each at its shape and finite."""
+    c, kinds = model.config, [ly.kind for ly in model.layers]
+    if len(kinds) != c.n_layers:
+        raise ValueError(f"config has {c.n_layers} layers, the model {len(kinds)}")
+    want = model_shapes(c, kinds, model.mla_cfg, model.gdn_cfg)
     tensors = model.named_tensors()
-    for name, want in teacher_shapes(c).items():
-        if tensors.get(name) is None:
+    extra = sorted(set(tensors) - set(want))
+    if extra:
+        raise ValueError(f"unexpected tensor {extra[0]}")
+    for name, shape in want.items():
+        t = tensors.get(name)
+        if t is None:
             raise ValueError(f"tensor {name} missing")
-        if tensors[name].shape != want:
-            raise ValueError(f"{name}: shape {tensors[name].shape}, expected {want}")
-    for name, t in tensors.items():
-        if not np.all(np.isfinite(t)):
+        if t.shape != shape:
+            raise ValueError(f"tensor {name}: shape {t.shape}, expected {shape}")
+        if not np.isfinite(t).all():
             raise ValueError(f"tensor {name} has non-finite values")
 
 
-def gen_toy_teacher(config: TransformerConfig, seed: int) -> HybridModel:
-    """Deterministic toy teacher: PCG64(seed), normal weights at std 1/sqrt(fan_in)."""
-    rng = np.random.default_rng(seed)
+def model_meta(model: HybridModel, kind: str) -> dict:
+    """The `__meta__` of `model`'s container, once `validate_model` passes:
+    kind "teacher" for a stack of gqa layers, "hybrid" for a stack of mla
+    and gdn layers. A ValueError for a mix, or unless the kind is `kind`."""
+    validate_model(model)
+    kinds = [ly.kind for ly in model.layers]
+    meta = {"kind": "teacher", "config": model.config.to_dict()}
+    if "gqa" not in kinds:
+        meta.update(kind="hybrid", layout=HybridLayout(len(kinds), [
+            i for i, k in enumerate(kinds) if k == "mla"]).to_dict(),
+            mla_cfg=model.mla_cfg and model.mla_cfg.to_dict(),
+            gdn_cfg=model.gdn_cfg and model.gdn_cfg.to_dict())
+    elif set(kinds) != {"gqa"}:
+        raise ValueError(f"layers of kinds {kinds} mix gqa with other mixers")
+    if meta["kind"] != kind:
+        raise ValueError(f"a {meta['kind']} model cannot be saved as a {kind}")
+    return meta
 
-    def w(rows, cols):
-        return f32_resolution(rng.normal(0.0, 1.0 / np.sqrt(cols), size=(rows, cols)))
 
-    c = config
+_META_FIELDS = {"teacher": {"kind", "config"},
+                "hybrid": {"kind", "config", "layout", "mla_cfg", "gdn_cfg"}}
+
+
+def read_meta(meta, kind: str | None = None) -> tuple:
+    """(config, layer kinds, mla_cfg, gdn_cfg) of a teacher or hybrid
+    container's metadata, of kind `kind` when given. Another kind, an
+    unknown, missing or out-of-range field, or a layout whose layer count is
+    not the config's, raises ContainerError."""
+    allowed = (kind,) if kind else tuple(_META_FIELDS)
+    if not isinstance(meta, dict) or meta.get("kind") not in allowed:
+        raise ContainerError(f"the container is not a {' or '.join(allowed)} checkpoint")
+    try:
+        unknown = sorted(set(meta) - _META_FIELDS[meta["kind"]])
+        if unknown:
+            raise ValueError(f"unknown field {unknown[0]!r}")
+        c = TransformerConfig.from_dict(meta["config"])
+        if meta["kind"] == "teacher":
+            return c, ["gqa"] * c.n_layers, None, None
+        layout = HybridLayout.from_dict(meta["layout"])
+        if layout.n_layers != c.n_layers:
+            raise ValueError(f"layout has {layout.n_layers} layers, config {c.n_layers}")
+        mla_cfg, gdn_cfg = (cls.from_dict(meta[key]) if meta.get(key) is not None else None
+                            for cls, key in ((MlaConfig, "mla_cfg"), (GdnConfig, "gdn_cfg")))
+        return c, [layout.kind(i) for i in range(c.n_layers)], mla_cfg, gdn_cfg
+    except KeyError as e:
+        raise ContainerError(f"metadata lacks field {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ContainerError(f"metadata: {e}") from e
+
+
+def container_shapes(meta) -> dict:
+    """What `read_container` checks a teacher or hybrid file against."""
+    return model_shapes(*read_meta(meta))
+
+
+def build_model(tensors: dict, c: TransformerConfig, kinds: list,
+                mla_cfg: MlaConfig | None = None,
+                gdn_cfg: GdnConfig | None = None) -> HybridModel:
+    """The model of config `c` and layer kinds `kinds` that holds the tensors
+    `model_shapes` names, taken from `tensors`."""
+    names = model_shapes(c, kinds, mla_cfg, gdn_cfg)
     layers = []
-    for _ in range(c.n_layers):
-        attn = GqaWeights(
-            wq=w(c.n_q_heads * c.head_dim, c.d_model),
-            wk=w(c.n_kv_heads * c.head_dim, c.d_model),
-            wv=w(c.n_kv_heads * c.head_dim, c.d_model),
-            wo=w(c.d_model, c.n_q_heads * c.head_dim),
-            q_norm=np.ones(c.head_dim) if c.qk_norm else None,
-            k_norm=np.ones(c.head_dim) if c.qk_norm else None)
-        layers.append(HybridLayer(
-            "gqa", attn,
-            mlp_gate=w(c.mlp_hidden, c.d_model),
-            mlp_up=w(c.mlp_hidden, c.d_model),
-            mlp_down=w(c.d_model, c.mlp_hidden),
-            norm_attn=np.ones(c.d_model),
-            norm_mlp=np.ones(c.d_model),
-        ))
-    model = HybridModel(c, layers, embedding=w(c.vocab, c.d_model),
-                        final_norm=np.ones(c.d_model), lm_head=w(c.vocab, c.d_model))
-    validate_teacher(model)
-    return model
+    for i, k in enumerate(kinds):
+        prefix = mixer_prefix(k, i)
+        mixer = MIXERS[k](**{f.name: tensors[f"{prefix}.{f.name}"] for f in fields(MIXERS[k])
+                             if f"{prefix}.{f.name}" in names})
+        layers.append(HybridLayer(k, mixer, **{
+            f: tensors[f"layers.{i}.{name}"] for f, name in SHARED_LAYER_TENSORS.items()}))
+    return HybridModel(c, layers, tensors["embedding"], tensors["final_norm"],
+                       tensors["lm_head"], mla_cfg, gdn_cfg)
+
+
+def gen_toy_teacher(config: TransformerConfig, seed: int) -> HybridModel:
+    """Deterministic toy teacher: PCG64(seed) draws every matrix in container
+    order, normal at std 1/sqrt(fan_in); every norm is ones."""
+    rng = np.random.default_rng(seed)
+    kinds = ["gqa"] * config.n_layers
+    tensors = {name: f32_resolution(rng.normal(0.0, 1.0 / np.sqrt(shape[1]), size=shape))
+               if len(shape) == 2 else np.ones(shape)
+               for name, shape in model_shapes(config, kinds).items()}
+    return build_model(tensors, config, kinds)
 
 
 def save_teacher(model: HybridModel, path) -> None:
-    validate_teacher(model)
-    meta = {"kind": "teacher", "config": model.config.to_dict()}
-    write_container(path, model.named_tensors(), meta)
-
-
-def _teacher_shapes(meta: dict | None) -> dict | None:
-    """Name -> shape of every tensor the teacher described by `meta` holds."""
-    if meta is None or meta.get("kind") != "teacher":
-        return None
-    return teacher_shapes(TransformerConfig.from_dict(meta["config"]))
+    write_container(path, model.named_tensors(), model_meta(model, "teacher"))
 
 
 def load_teacher(path) -> HybridModel:
-    tensors, meta = read_container(path, expected=_teacher_shapes)
-    if meta is None or meta.get("kind") != "teacher":
-        raise ValueError(f"{path} is not a teacher checkpoint")
-    c = TransformerConfig.from_dict(meta["config"])
-    return stack_from_tensors(c, ["gqa"] * c.n_layers, tensors,
-                              lambda _kind: GqaWeights.shapes(c), {"gqa": GqaWeights})
+    tensors, meta = read_container(path, expected=container_shapes)
+    return build_model(tensors, *read_meta(meta, "teacher"))

@@ -168,7 +168,8 @@ def cmd_kv_report(args):
     teacher_cfg = _config_file(TransformerConfig, args.teacher_config,
                                "--teacher-config")
     mla_cfg = _config_file(MlaConfig, args.mla_config, "--mla-config")
-    rep = kv_cache_report(layout, teacher_cfg, mla_cfg)
+    rep = _from_flags("--layout/--teacher-config", kv_cache_report, layout, teacher_cfg,
+                      mla_cfg)
     _emit(args, rep.to_dict(), [
         f"teacher cache/token: {rep.teacher_per_token} elements",
         f"hybrid cache/token:  {rep.hybrid_per_token} elements "

@@ -32,11 +32,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .checkpoint import TransformerConfig
 from .numerics import (CONV_WIDTH, causal_conv1d, causal_conv1d_backward,
                        f32_resolution, inverse_softplus, repeat_kv, rmsnorm,
                        rmsnorm_backward, sigmoid, silu, silu_grad, softplus)
-from .teacher import GqaWeights
+from .teacher import GqaWeights, TransformerConfig
 
 # Tokens per chunk of the chunk-parallel core. Results do not depend on it
 # beyond rounding. Timed at d 128 with 4 heads (training steps of 128 and 512

@@ -16,6 +16,10 @@ token, a latent layer r_kv + d_rope, a linear layer nothing, so
 Training-memory accounting sizes the (T, V) logit-shaped tensors of a
 distillation step at 2 bytes per element and removes the rows that each
 memory technique eliminates.
+
+Saving and loading go through the one container schema in `checkpoint`;
+`save_hybrid` and `load_hybrid` are its call points around this module's
+`write_container` and `read_container`.
 """
 
 from dataclasses import dataclass
@@ -24,47 +28,17 @@ import numpy as np
 
 from . import teacher
 from .accounting import record_alloc
-from .checkpoint import (SHARED_LAYER_TENSORS, HybridLayer, HybridModel,
-                         TransformerConfig, mixer_prefix, stack_from_tensors,
-                         stack_shapes)
+from .checkpoint import (SHARED_LAYER_TENSORS, HybridLayer, HybridLayout,
+                         HybridModel, TransformerConfig, build_model,
+                         container_shapes, mixer_prefix, model_meta, read_meta)
 from .container import read_container, write_container
-from .gdn import (GdnBlockWeights, GdnConfig, gdn_backward,
-                  gdn_forward_chunked, gdn_forward_sequential,
-                  gdn_forward_train, init_gdn_from_teacher)
-from .mla import (MlaBlockWeights, MlaConfig, init_mla_from_teacher,
-                  mla_backward, mla_forward)
+from .gdn import (GdnConfig, gdn_backward, gdn_forward_chunked,
+                  gdn_forward_sequential, gdn_forward_train,
+                  init_gdn_from_teacher)
+from .mla import MlaConfig, init_mla_from_teacher, mla_backward, mla_forward
 from .mlp import swiglu_backward, swiglu_forward
 from .numerics import rmsnorm, rmsnorm_backward, rope_inv_freq, rope_tables
 from .teacher import Trace
-
-
-@dataclass
-class HybridLayout:
-    """Which layers are latent attention; every other layer is gated delta."""
-    n_layers: int
-    mla_indices: tuple
-
-    def __post_init__(self):
-        self.mla_indices = tuple(sorted(int(i) for i in self.mla_indices))
-        if len(set(self.mla_indices)) != len(self.mla_indices):
-            raise ValueError("duplicate layer index in mla_indices")
-        if self.mla_indices and (self.mla_indices[0] < 0
-                                 or self.mla_indices[-1] >= self.n_layers):
-            raise ValueError(f"mla_indices out of range [0, {self.n_layers})")
-
-    def kind(self, i: int) -> str:
-        return "mla" if i in self.mla_indices else "gdn"
-
-    def to_dict(self) -> dict:
-        return {"n_layers": self.n_layers, "mla_indices": list(self.mla_indices),
-                "linear_kind": "gdn"}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HybridLayout":
-        kind = d.get("linear_kind", "gdn")
-        if kind != "gdn":
-            raise ValueError(f"unsupported linear_kind {kind!r}; only 'gdn' exists")
-        return cls(n_layers=d["n_layers"], mla_indices=d["mla_indices"])
 
 
 # ---------------------------------------------------------------------------
@@ -278,6 +252,9 @@ class KvCacheReport:
 
 def kv_cache_report(layout: HybridLayout, teacher_cfg: TransformerConfig,
                     mla_cfg: MlaConfig) -> KvCacheReport:
+    if layout.n_layers != teacher_cfg.n_layers:
+        raise ValueError(f"layout has {layout.n_layers} layers, the teacher config "
+                         f"{teacher_cfg.n_layers}")
     full = teacher_cfg.n_layers * 2 * teacher_cfg.n_kv_heads * teacher_cfg.head_dim
     hybrid = len(layout.mla_indices) * mla_cfg.cache_per_token
     return KvCacheReport(full, hybrid, hybrid / full)
@@ -364,55 +341,9 @@ def memory_plan(tokens: int, vocab: int, techniques=()) -> MemoryPlan:
 # ---------------------------------------------------------------------------
 
 def save_hybrid(model: HybridModel, path) -> None:
-    kinds = [ly.kind for ly in model.layers]
-    if "gqa" in kinds:
-        raise ValueError("a hybrid checkpoint holds no gqa layer; save a teacher "
-                         "with save_teacher")
-    meta = {
-        "kind": "hybrid",
-        "config": model.config.to_dict(),
-        "layout": HybridLayout(len(kinds), [i for i, k in enumerate(kinds)
-                                            if k == "mla"]).to_dict(),
-        "mla_cfg": model.mla_cfg.to_dict() if model.mla_cfg else None,
-        "gdn_cfg": model.gdn_cfg.to_dict() if model.gdn_cfg else None,
-    }
-    write_container(path, model.named_tensors(), meta)
-
-
-def _hybrid_schema(meta: dict):
-    """(config, layer kinds, kind -> mixer field shapes, mla_cfg, gdn_cfg)."""
-    cfg = TransformerConfig.from_dict(meta["config"])
-    layout = HybridLayout.from_dict(meta["layout"])
-    mla_cfg = MlaConfig.from_dict(meta["mla_cfg"]) if meta.get("mla_cfg") else None
-    gdn_cfg = GdnConfig.from_dict(meta["gdn_cfg"]) if meta.get("gdn_cfg") else None
-    return (cfg, [layout.kind(i) for i in range(cfg.n_layers)],
-            lambda kind: _mixer_shapes(kind, cfg.d_model, mla_cfg, gdn_cfg), mla_cfg, gdn_cfg)
-
-
-def _mixer_shapes(kind: str, d: int, mla_cfg: MlaConfig | None,
-                  gdn_cfg: GdnConfig | None) -> dict:
-    if kind == "gdn":
-        if gdn_cfg is None:
-            raise ValueError("hybrid checkpoint has gated-delta layers but no gdn_cfg")
-        return GdnBlockWeights.shapes(gdn_cfg)
-    if mla_cfg is None:
-        raise ValueError("hybrid checkpoint has latent-attention layers but no mla_cfg")
-    return MlaBlockWeights.shapes(mla_cfg, d)
-
-
-def _hybrid_shapes(meta: dict | None) -> dict | None:
-    """Name -> shape of every tensor the hybrid described by `meta` holds."""
-    if meta is None or meta.get("kind") != "hybrid":
-        return None
-    cfg, kinds, mixer_shapes, _, _ = _hybrid_schema(meta)
-    return stack_shapes(cfg, kinds, mixer_shapes)
+    write_container(path, model.named_tensors(), model_meta(model, "hybrid"))
 
 
 def load_hybrid(path) -> HybridModel:
-    tensors, meta = read_container(path, expected=_hybrid_shapes)
-    if meta is None or meta.get("kind") != "hybrid":
-        raise ValueError(f"{path} is not a hybrid checkpoint")
-    cfg, kinds, mixer_shapes, mla_cfg, gdn_cfg = _hybrid_schema(meta)
-    return stack_from_tensors(cfg, kinds, tensors, mixer_shapes,
-                              {"mla": MlaBlockWeights, "gdn": GdnBlockWeights},
-                              mla_cfg=mla_cfg, gdn_cfg=gdn_cfg)
+    tensors, meta = read_container(path, expected=container_shapes)
+    return build_model(tensors, *read_meta(meta, "hybrid"))

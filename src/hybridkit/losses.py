@@ -62,17 +62,15 @@ def _check_same_shape(z_s, z_t):
 # ---------------------------------------------------------------------------
 
 def _norm_and_grad(delta):
-    """Frobenius norm over the trailing (T, d) axes, batch-mean over any
-    leading axis; returns (value, d value / d delta)."""
-    if delta.ndim == 2:
-        n = np.linalg.norm(delta)
-        return n, (delta / n if n > 0 else np.zeros_like(delta))
-    B = delta.shape[0]
-    n = np.sqrt(np.sum(delta * delta, axis=(-2, -1)))           # (B,)
+    """Frobenius norm over the trailing (T, d) axes, batch-mean over the
+    leading axis of a (B, T, d) delta (a (T, d) one is a batch of one);
+    returns (value, d value / d delta)."""
+    batch = delta[None] if delta.ndim == 2 else delta
+    n = np.sqrt(np.sum(batch * batch, axis=(-2, -1)))           # (B,)
     safe = np.where(n > 0, n, 1.0)
-    grad = delta / (B * safe[:, None, None])
+    grad = batch / (len(batch) * safe[:, None, None])
     grad[n == 0] = 0.0
-    return float(np.mean(n)), grad
+    return float(np.mean(n)), grad.reshape(delta.shape)
 
 
 def ild_grads(student_trace, teacher_trace):

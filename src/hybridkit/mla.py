@@ -33,12 +33,11 @@ from functools import lru_cache
 import numpy as np
 
 from .accounting import record_alloc
-from .checkpoint import TransformerConfig
 from .numerics import (apply_rope, apply_rope_backward, causal_attention,
                        causal_attention_backward, f32_resolution, repeat_kv,
                        rmsnorm, rmsnorm_backward, rope_tables, sigmoid, softmax,
                        svd, yarn_inv_freq, yarn_mscale)
-from .teacher import GqaWeights
+from .teacher import GqaWeights, TransformerConfig
 
 
 @dataclass

@@ -1,13 +1,13 @@
-"""GQA mixer: a teacher layer's attention weights, their KV cache and forward.
+"""The teacher config and GQA mixer: attention weights, KV cache and forward.
 
-A teacher is a `checkpoint.HybridModel` whose layers all have kind "gqa";
-`hybrid.hybrid_forward` runs its pre-norm residual stack as it runs the
-hybrid's. Causal grouped-query attention with rotary embeddings over the full
-head dim; optional per-head Q/K RMSNorm. Query heads are grouped against their
-KV head on a broadcast axis, through the `numerics.causal_attention` that
-latent attention also runs. The cache holds each token's rotated keys and its
-values, 2 * H_kv * d_h elements. The teacher is the weight source for
-conversion and runs forward only.
+`TransformerConfig` sizes every model's stack. A teacher is a
+`checkpoint.HybridModel` whose layers all have kind "gqa"; `hybrid.hybrid_forward`
+runs its pre-norm residual stack as it runs the hybrid's. Causal grouped-query
+attention with rotary embeddings over the full head dim; optional per-head Q/K
+RMSNorm. Query heads are grouped against their KV head on a broadcast axis,
+through the `numerics.causal_attention` that latent attention also runs. The
+cache holds each token's rotated keys and its values, 2 * H_kv * d_h elements.
+The teacher is the weight source for conversion and runs forward only.
 """
 
 from dataclasses import dataclass, fields
@@ -15,6 +15,39 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .numerics import apply_rope, causal_attention, rmsnorm
+
+
+@dataclass
+class TransformerConfig:
+    d_model: int
+    n_layers: int
+    n_q_heads: int
+    n_kv_heads: int
+    head_dim: int
+    vocab: int
+    mlp_hidden: int
+    rope_theta: float = 10000.0
+    eps: float = 1e-5
+    qk_norm: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name != "qk_norm" and (not isinstance(v, (int, float)) or v <= 0):
+                raise ValueError(f"config field {f.name} must be positive, got {v}")
+        if self.n_q_heads % self.n_kv_heads != 0:
+            raise ValueError("n_q_heads must be divisible by n_kv_heads")
+
+    @property
+    def group(self) -> int:
+        return self.n_q_heads // self.n_kv_heads
+
+    def to_dict(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TransformerConfig":
+        return cls(**d)
 
 
 @dataclass
@@ -42,7 +75,7 @@ class GqaWeights:
                 if getattr(self, f.name) is not None}
 
     @staticmethod
-    def shapes(cfg) -> dict:
+    def shapes(cfg: TransformerConfig) -> dict:
         """Field -> shape for a teacher config, as in the field comments."""
         d, q, kv = cfg.d_model, cfg.n_q_heads * cfg.head_dim, cfg.n_kv_heads * cfg.head_dim
         out = {"wq": (q, d), "wk": (kv, d), "wv": (kv, d), "wo": (d, q)}

@@ -25,6 +25,7 @@ def workdir(tmp_path_factory):
     (d / "teacher.json").write_text(json.dumps(cfg))
     (d / "layout.json").write_text(json.dumps({"n_layers": 4, "mla_indices": [1, 3]}))
     (d / "layout3.json").write_text(json.dumps({"n_layers": 3, "mla_indices": [1]}))
+    (d / "layout8.json").write_text(json.dumps({"n_layers": 8, "mla_indices": [1, 3, 5, 7]}))
     mla = {"r_q": 16, "r_kv": 8, "d_qk_nope": 4, "d_qk_rope": 4, "d_v": 8, "n_heads": 4}
     (d / "mla.json").write_text(json.dumps(mla))
     # Valid as a config, but beyond the teacher's query rank at conversion.
@@ -211,7 +212,16 @@ BAD_FLAGS = [
     (["assemble", "--mla", "{d}/mla.ckpt", "--gdn", "{d}/gdn.ckpt",
       "--layout", "{d}/layout3.json", "--out", "{out}"], "--layout"),
     (["mem-plan", "--tokens", "4", "--vocab", "0"], "--vocab"),
+    (["kv-report", "--layout", "{d}/layout8.json", "--teacher-config", "{d}/teacher.json",
+      "--mla-config", "{d}/mla.json"], "--layout"),
 ]
+
+
+def _ids(flags):
+    """Test ids: each flag, with -2, -3, ... on its repeats, so that a new
+    case never renumbers the ids of the cases before it."""
+    return [f if flags[:i].count(f) == 0 else f"{f}-{flags[:i].count(f) + 1}"
+            for i, f in enumerate(flags)]
 
 
 # Each bad config file: the flag that reads it, the file's content, and an
@@ -230,12 +240,29 @@ BAD_CONFIG_FILES = [
     ("--teacher-config", {"d_model": 32, "n_layers": 0, "n_q_heads": 4,
                           "n_kv_heads": 2, "head_dim": 8, "vocab": 64,
                           "mlp_hidden": 64}, KV_REPORT),
+    ("--layout", {"n_layers": 0, "mla_indices": []}, KV_REPORT),
 ]
+
+
+# Each metadata edit that no loader may accept: the checkpoint it edits, the
+# edit, and an argv in which the edited file replaces "{bad}".
+CONVERT_GDN = ["convert-gdn", "--teacher", "{bad}", "--out", "{out}"]
+EVAL_NIAH = ["eval-niah", "--model", "{bad}", "--haystack-len", "24", "--items", "4"]
+BAD_METADATA = [
+    ("t.ckpt", lambda meta: meta["config"].update(bogus=1), CONVERT_GDN),
+    ("t.ckpt", lambda meta: meta.pop("config"), CONVERT_GDN),
+    ("t.ckpt", lambda meta: meta["config"].pop("vocab"), CONVERT_GDN),
+    ("hybrid.ckpt", lambda meta: meta.pop("layout"), EVAL_NIAH),
+    ("hybrid.ckpt", lambda meta: meta["gdn_cfg"].update(bogus=2), EVAL_NIAH),
+    ("gdn.ckpt", lambda meta: meta["layout"].update(n_layers=5), EVAL_NIAH),
+]
+BAD_METADATA_IDS = ["config_unknown_key", "no_config", "config_no_vocab", "no_layout",
+                    "gdn_cfg_unknown_key", "layout_longer_than_config"]
 
 
 class TestErrors:
     @pytest.mark.parametrize("flag, content, argv", BAD_CONFIG_FILES,
-                             ids=[flag for flag, _, _ in BAD_CONFIG_FILES])
+                             ids=_ids([flag for flag, _, _ in BAD_CONFIG_FILES]))
     def test_bad_config_file_exits_one_naming_it(self, workdir, tmp_path, capsys,
                                                 flag, content, argv):
         # An unknown key, a missing key and out-of-range values.
@@ -249,13 +276,26 @@ class TestErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, flag", BAD_FLAGS,
-                             ids=[flag for _, flag in BAD_FLAGS])
+                             ids=_ids([flag for _, flag in BAD_FLAGS]))
     def test_bad_flag_value_exits_one_naming_it(self, workdir, tmp_path, capsys,
                                                argv, flag):
         out = tmp_path / "x.ckpt"
         rc = main([a.format(d=workdir, out=out) for a in argv])
         assert rc == 1
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, edit, argv", BAD_METADATA, ids=BAD_METADATA_IDS)
+    def test_bad_metadata_exits_one_naming_it(self, workdir, tmp_path, capsys,
+                                              name, edit, argv):
+        tensors, meta = read_container(workdir / name)
+        edit(meta)
+        bad, out = tmp_path / name, tmp_path / "x.ckpt"
+        write_container(bad, tensors, meta)
+        assert main([a.format(bad=bad, out=out) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert argv[argv.index("{bad}") - 1] in err and str(bad) in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_unknown_flag_exits_one(self, capsys):
@@ -296,6 +336,23 @@ class TestErrors:
              "--lr", "1e30"], capture_output=True, text=True, env=env, timeout=300)
         assert run.returncode == 2, run.stderr
         assert "consecutive optimizer steps skipped" in run.stderr
+
+    def test_diverged_run_writes_no_checkpoint(self, workdir, tmp_path):
+        # In a subprocess, as in test_consecutive_skipped_steps_exit_two. The
+        # lr overflows the float32 weights in one step; the save must refuse them.
+        src = str(Path(hybridkit.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        out = tmp_path / "blown.ckpt"
+        run = subprocess.run(
+            [sys.executable, "-m", "hybridkit.cli", "train", "--stage", "2",
+             "--student", str(workdir / "gdn.ckpt"), "--steps", "1",
+             "--context-len", "16", "--data-size", "4", "--batch", "1",
+             "--lr", "1e39", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == 2, run.stderr
+        assert "tensor gdn.0.w_q has non-finite values" in run.stderr
+        assert not out.exists()
 
     def test_qk_norm_teacher_conversion_exits_one(self, tmp_path, capsys):
         cfg = {"d_model": 32, "n_layers": 2, "n_q_heads": 4, "n_kv_heads": 2,

@@ -368,6 +368,15 @@ class TestSerialization:
             "hybrid": "38858e41c4e35de3f6dd3d44df64dfec79d2c8570be781cbb9a01150a21faa5a",
         }
 
+    def test_non_finite_weight_not_saved(self, hybrid, tmp_path):
+        w_q = hybrid.layers[0].mixer.w_q.copy()
+        w_q[2, 3] = np.nan
+        layer = replace(hybrid.layers[0], mixer=replace(hybrid.layers[0].mixer, w_q=w_q))
+        path = tmp_path / "h.ckpt"
+        with pytest.raises(ValueError, match=r"tensor gdn\.0\.w_q has non-finite values"):
+            save_hybrid(replace(hybrid, layers=[layer, *hybrid.layers[1:]]), path)
+        assert not path.exists()
+
     def test_missing_tensor_named(self, hybrid, tmp_path):
         path = tmp_path / "h.ckpt"
         save_hybrid(hybrid, path)
